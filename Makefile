@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-batched bench-sampling sampling-gate chaos examples experiments lint typecheck check clean
+.PHONY: install test bench bench-smoke bench-batched bench-sampling sampling-gate perfbench-selftest chaos examples experiments lint typecheck check clean
 
 install:
 	pip install -e .[dev]
@@ -47,6 +47,13 @@ bench-batched:
 bench-sampling:
 	REPRO_SMOKE=1 PYTHONPATH=src $(PYTHON) benchmarks/record_sampling.py
 	REPRO_SMOKE=1 $(PYTHON) benchmarks/check_regression.py --sampling
+
+# Self-tests of the repository benchmark (perfbench/, see its README):
+# each workload at toy size, plain and traced, in subprocesses (~1-2
+# min). Outside tier-1's testpaths; the `perfbench-selftest` CI job runs
+# this target.
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Deterministic fault injection, both generations: classic worker-level
 # faults (crash/hang/corruption/truncation), then the chaos v2 failure

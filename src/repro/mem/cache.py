@@ -287,12 +287,12 @@ class Cache:
         invalid ways, while the policy object (and any global predictor
         state it carries) survives untouched.
         """
+        invalid = [-1] * self.num_ways
+        clean = [False] * self.num_ways
         for row in self._tags:
-            for way in range(self.num_ways):
-                row[way] = -1
+            row[:] = invalid
         for drow in self._dirty:
-            for way in range(self.num_ways):
-                drow[way] = False
+            drow[:] = clean
 
     def invalidate(self, block: int) -> bool:
         """Drop a block if resident (returns whether it was)."""

@@ -106,6 +106,21 @@ class _FastLevel:
         self.dirty_evictions = stats.dirty_evictions
         self.per_kind_misses: dict[int, int] = dict(stats.per_kind_misses)
 
+    def clear(self) -> None:
+        """Drop every resident line (the flat ``Cache.reset_content``).
+
+        Stamps stay as they are: a way's stamp is read only while the
+        way is valid, and the fill that makes it valid rewrites it.
+        """
+        self.tags[:] = [-1] * len(self.tags)
+        self.dirty[:] = bytes(len(self.dirty))
+        self.index.clear()
+        self.occupancy[:] = [0] * len(self.occupancy)
+
+    def resident_blocks(self) -> list[int]:
+        """All valid resident block addresses, in no particular order."""
+        return list(self.index)
+
     def reset_counters(self) -> None:
         """Mirror of the driver's warm-up statistics reset."""
         self.demand_accesses = 0

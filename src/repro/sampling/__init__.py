@@ -15,7 +15,6 @@ sampled-vs-full error per suite and the committed budget in
 """
 
 from .executor import (
-    clear_checkpoint_store,
     compute_boundary_checkpoints,
     recombine,
     simulate_sampled,
@@ -47,7 +46,6 @@ __all__ = [
     "ValidationCell",
     "ValidationReport",
     "build_plan",
-    "clear_checkpoint_store",
     "compute_boundary_checkpoints",
     "kmeans",
     "pc_bucket_histogram",

@@ -23,11 +23,9 @@ The executor runs each representative interval of a
      *and* each level's resident block set. Warm state is then rebuilt
      by filling exactly those blocks (in last-touch order) with the
      restored tables — the content a full run would actually hold, not
-     a recency approximation. Checkpoints are stored once per
-     ``(trace, config, policy, boundaries)`` and reused across runs of
-     the same sweep. Because policy hooks never see cycle counts, the
-     functional pass reproduces a timed full run's tables and content
-     bit-exactly.
+     a recency approximation. Because policy hooks never see cycle
+     counts, the functional pass reproduces a timed full run's tables
+     and content bit-exactly.
 2. **Simulated warm-up** — ``spec.warm_windows`` windows of real
    simulation settle DRAM row buffers/bank queues, MSHR-equivalent
    timing state and policy recency before measurement, then
@@ -35,9 +33,17 @@ The executor runs each representative interval of a
    DRAM bank clocks to the measured core's origin — the same boundary
    correction a full run applies after its warm-up phase, generalized
    to every interval boundary.
-3. **Measurement** — the interval runs under the fast engine when
-   eligible (the reference hot loop otherwise) and is snapshotted into
-   a per-interval :class:`~repro.core.results.SimulationResult`.
+3. **Measurement** — the interval runs and is snapshotted into a
+   per-interval :class:`~repro.core.results.SimulationResult`.
+
+Each cell runs on one engine end to end. On the fast engine (when
+:func:`~repro.mem.fastpath.fastpath_eligible`) a single
+:class:`~repro.mem.fastpath.FastMachine` serves every interval:
+synthesis writes the upper levels straight into its flat arrays, the
+functional passes run through its hot loop, and it is checked back into
+the hierarchy once, after the last interval. ``engine="reference"`` and
+ineligible machines keep the reference access path throughout — the
+oracle the fast path is tested against.
 
 Per-interval results recombine into one full-run estimate by weighting
 every counter with its interval's cluster population (SimPoint's
@@ -55,11 +61,12 @@ committed error budget is validated per (policy, strategy) pair in
 
 from __future__ import annotations
 
-import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
-from ..core.config import MachineConfig, cascade_lake
+from ..core.config import CoreConfig, MachineConfig, cascade_lake
 from ..core.cpu import CoreModel
 from ..core.results import LevelStats, SimulationResult, snapshot_result
 from ..core.simulator import (
@@ -69,14 +76,18 @@ from ..core.simulator import (
     build_hierarchy,
 )
 from ..errors import ConfigurationError, SimulationError
+from ..mem.cache import Cache
 from ..mem.fastpath import FastMachine, fastpath_eligible
 from ..mem.hierarchy import CacheHierarchy, ServiceLevel
-from ..policies.base import ReplacementPolicy
+from ..policies.base import PolicyAccess, ReplacementPolicy
 from ..policies.registry import WARM_STATE_EXCLUDED, make_policy
 from ..trace.record import AccessKind
 from ..trace.trace import Trace
 from .plan import SamplingPlan, build_plan
 from .spec import SamplingSpec
+
+#: Fill kinds that leave the line dirty, as :meth:`Cache.fill` decides.
+_DIRTY_KINDS = (AccessKind.STORE, AccessKind.WRITEBACK)
 
 
 def _prefix_last_touch(
@@ -99,53 +110,121 @@ def _prefix_last_touch(
     return uniq[order], pcs[ordered_last], kinds[ordered_last]
 
 
-def _fill_blocks(
-    cache, blocks: np.ndarray, pcs: np.ndarray, kinds: np.ndarray
-) -> int:
-    """Inject blocks through the normal fill path, training suppressed.
+@contextmanager
+def _untrained_evictions(policy: ReplacementPolicy) -> Iterator[None]:
+    """Disable the policy's eviction training for the duration.
 
-    Policy eviction training is disabled for the duration: set-conflict
-    evictions during a content rebuild are artifacts of the rebuild, not
-    observed program behaviour.
+    Set-conflict evictions during a content rebuild are artifacts of the
+    rebuild, not observed program behaviour. The real hook comes back
+    even when a fill raises half-way.
     """
-    fill = cache.fill
-    policy = cache.policy
     saved_on_eviction = policy.on_eviction
     policy.on_eviction = (  # type: ignore[method-assign]
         lambda set_index, way, victim_block: None
     )
-    fills = 0
     try:
+        yield
+    finally:
+        policy.on_eviction = saved_on_eviction  # type: ignore[method-assign]
+
+
+def _fill_blocks(
+    cache, blocks: np.ndarray, pcs: np.ndarray, kinds: np.ndarray
+) -> int:
+    """Inject blocks through the normal fill path, training suppressed."""
+    fill = cache.fill
+    fills = 0
+    with _untrained_evictions(cache.policy):
         for block, pc, kind in zip(blocks.tolist(), pcs.tolist(), kinds.tolist()):
             fill(block, pc, int(kind))
             fills += 1
-    finally:
-        policy.on_eviction = saved_on_eviction  # type: ignore[method-assign]
     return fills
 
 
+def _refill_llc(
+    cache: Cache, blocks: np.ndarray, pcs: np.ndarray, kinds: np.ndarray
+) -> int:
+    """``reset_content`` + :func:`_fill_blocks`, without the way scan.
+
+    After the reset every set fills its ways in order, so a fill lands
+    in its set's next invalid way until the set is full. That way is
+    written directly — tag, dirty bit and ``policy.on_fill``, exactly
+    what :meth:`Cache.fill` does for an invalid way. Only a fill into a
+    full set goes through :meth:`Cache.fill` (victim choice, bypass,
+    eviction counters), with eviction training suppressed.
+    """
+    cache.reset_content()
+    tags = cache._tags
+    dirty = cache._dirty
+    set_mask = cache._set_mask
+    ways = cache.num_ways
+    filled = [0] * cache.num_sets
+    on_fill = cache.policy.on_fill
+    with _untrained_evictions(cache.policy):
+        for block, pc, kind in zip(blocks.tolist(), pcs.tolist(), kinds.tolist()):
+            set_index = block & set_mask
+            way = filled[set_index]
+            if way < ways:
+                filled[set_index] = way + 1
+                tags[set_index][way] = block
+                dirty[set_index][way] = kind in _DIRTY_KINDS
+                on_fill(set_index, way, PolicyAccess(block, pc, kind))
+            else:
+                cache.fill(block, pc, kind)
+    return len(blocks)
+
+
+def _refill(
+    cache: Cache,
+    blocks: np.ndarray,
+    pcs: np.ndarray,
+    kinds: np.ndarray,
+    machine: FastMachine | None,
+) -> int:
+    """Replace ``cache``'s content with ``blocks``, filled in order.
+
+    Without ``machine`` this is the reference rebuild: ``reset_content``
+    and :meth:`Cache.fill` per block. With the cell's
+    :class:`FastMachine`, an upper level is rebuilt in the machine's
+    flat arrays through its own insert routine (an LRU level needs no
+    eviction training to suppress) and the LLC through
+    :func:`_refill_llc`. Returns the number of fills.
+    """
+    if machine is None:
+        cache.reset_content()
+        return _fill_blocks(cache, blocks, pcs, kinds)
+    for level in (machine.l1i, machine.l1d, machine.l2):
+        if level.cache is cache:
+            level.clear()
+            fill = machine._fill
+            for block, kind in zip(blocks.tolist(), kinds.tolist()):
+                fill(level, block, kind)
+            return len(blocks)
+    return _refill_llc(cache, blocks, pcs, kinds)
+
+
 def synthesize_warm_state(
-    hierarchy: CacheHierarchy, trace: Trace, boundary: int
+    hierarchy: CacheHierarchy,
+    trace: Trace,
+    boundary: int,
+    machine: FastMachine | None = None,
 ) -> int:
     """Rebuild per-level cache content from trace recency before ``boundary``.
 
     For every level, the most recently last-touched blocks of the trace
     prefix ``[0, boundary)`` — capped at the level's capacity — are
-    injected oldest-first through the normal :meth:`Cache.fill` path,
-    so per-line policy metadata (RRPV, signatures, recency stacks) is
-    initialized by the policy itself. Instruction blocks go to the L1I,
-    data blocks to the L1D, and both to L2/LLC, mirroring the
-    hierarchy's routing. Policy eviction *training* is suppressed for
-    the duration (set-conflict evictions during injection are artifacts
-    of the rebuild, not observed program behaviour). Returns the number
-    of fills performed.
+    injected oldest-first through the fill path, so per-line policy
+    metadata (RRPV, signatures, recency stacks) is initialized by the
+    policy itself. Instruction blocks go to the L1I, data blocks to the
+    L1D, and both to L2/LLC, mirroring the hierarchy's routing. Policy
+    eviction *training* is suppressed for the duration (set-conflict
+    evictions during injection are artifacts of the rebuild, not
+    observed program behaviour). ``machine`` — the cell's checked-out
+    :class:`FastMachine` — selects the fast rebuild (see
+    :func:`_refill`). Returns the number of fills performed.
     """
-    if boundary <= 0:
-        for cache in hierarchy.caches.values():
-            cache.reset_content()
-        return 0
     ordered_blocks, ordered_pcs, ordered_kinds = _prefix_last_touch(
-        trace, boundary, hierarchy.block_bits
+        trace, max(boundary, 0), hierarchy.block_bits
     )
     instruction = ordered_kinds == AccessKind.IFETCH
     fills = 0
@@ -168,19 +247,18 @@ def synthesize_warm_state(
             level_blocks = level_blocks[-capacity:]
             level_pcs = level_pcs[-capacity:]
             level_kinds = level_kinds[-capacity:]
-        cache.reset_content()
-        fills += _fill_blocks(cache, level_blocks, level_pcs, level_kinds)
+        fills += _refill(cache, level_blocks, level_pcs, level_kinds, machine)
     return fills
 
 
 class _SilentDRAM:
     """Timing-free DRAM stand-in for functional (untimed) passes.
 
-    Swapped in for ``hierarchy.dram`` while a training-only pass streams
-    accesses with ``cycle=0``: the real DRAM model would record those
-    zero-cycle requests in its bank ``next_free`` clocks and poison the
-    timing of every later *timed* segment. Reads complete instantly,
-    writes vanish; neither touches statistics.
+    Swapped in for the real DRAM while a training-only pass streams
+    accesses: the real DRAM model would record those requests in its
+    bank ``next_free`` clocks and poison the timing of every later
+    *timed* segment. Reads complete instantly, writes vanish; neither
+    touches statistics.
     """
 
     def read(self, addr: int, cycle: int) -> int:
@@ -191,21 +269,36 @@ class _SilentDRAM:
 
 
 def _functional_replay(
-    hierarchy: CacheHierarchy, trace: Trace, start: int, stop: int
+    hierarchy: CacheHierarchy,
+    trace: Trace,
+    start: int,
+    stop: int,
+    machine: FastMachine | None = None,
 ) -> int:
     """Stream ``[start, stop)`` through the hierarchy without timing.
 
     The real access path runs — hits, misses, fills, evictions, every
-    policy training hook — but no core model advances and DRAM timing is
-    stubbed out (see :class:`_SilentDRAM`), so the pass costs a policy
-    pass and nothing else. Policy hooks never observe cycle counts, so
-    the global tables this pass trains are bit-identical to the ones a
-    timed run over the same records would produce. Statistics polluted
-    by the pass are discarded by the caller's ``_reset_statistics``.
-    Returns the number of records replayed.
+    policy training hook — but DRAM timing is stubbed out (see
+    :class:`_SilentDRAM`) and no measured core advances, so the pass
+    costs a policy pass and nothing else. Policy hooks never observe
+    cycle counts, so the global tables this pass trains are
+    bit-identical to the ones a timed run over the same records would
+    produce. With ``machine`` the records run through its hot loop
+    (driving a throwaway core); without it, through
+    ``hierarchy.access`` at cycle 0. Statistics polluted by the pass are
+    discarded by the caller's ``_reset_statistics``. Returns the number
+    of records replayed.
     """
     if start >= stop:
         return 0
+    if machine is not None:
+        saved = machine.dram
+        machine.dram = _SilentDRAM()  # type: ignore[assignment]
+        try:
+            machine.run(CoreModel(CoreConfig()), trace, start, stop)
+        finally:
+            machine.dram = saved
+        return stop - start
     addrs = trace.addrs[start:stop].tolist()
     pcs = trace.pcs[start:stop].tolist()
     kinds = trace.kinds[start:stop].tolist()
@@ -220,35 +313,12 @@ def _functional_replay(
     return stop - start
 
 
-#: In-process cache of interval-boundary predictor-table checkpoints,
-#: keyed by (trace digest, machine config, policy name, boundaries).
-#: Populated on the first sampled run of a (trace, policy) cell with the
-#: checkpoint strategy and reused by every later run of the same sweep —
-#: the functional pass over the trace prefix is paid once, not per run.
-_CHECKPOINT_STORE: dict[tuple, dict[int, dict[str, object]]] = {}
-
-
-def clear_checkpoint_store() -> None:
-    """Drop all cached table checkpoints (tests and memory pressure)."""
-    _CHECKPOINT_STORE.clear()
-
-
-def _checkpoint_key(
-    trace: Trace, config: MachineConfig, policy_name: str, boundaries: tuple[int, ...]
-) -> tuple:
-    return (
-        trace.digest(),
-        json.dumps(config.to_json_dict(), sort_keys=True),
-        policy_name,
-        boundaries,
-    )
-
-
 def compute_boundary_checkpoints(
     trace: Trace,
     config: MachineConfig,
     policy_name: str,
     boundaries: tuple[int, ...],
+    engine: str = "fast",
 ) -> dict[int, dict[str, object]]:
     """Capture warm-state checkpoints at each trace boundary.
 
@@ -258,8 +328,14 @@ def compute_boundary_checkpoints(
     (:meth:`~repro.policies.base.ReplacementPolicy.checkpoint_tables`)
     and the resident block set of every level. The policy is constructed
     from the registry by name so the pass can never alias the measuring
-    hierarchy's policy instance.
+    hierarchy's policy instance. ``engine="fast"`` runs the pass on a
+    :class:`FastMachine` when the trace is eligible;
+    ``engine="reference"`` always uses ``hierarchy.access``.
     """
+    if engine not in ("fast", "reference"):
+        raise ConfigurationError(
+            f'checkpoint engine must be "fast" or "reference", got {engine!r}'
+        )
     hierarchy = build_hierarchy(config, make_policy(policy_name))
     policy = hierarchy.llc.policy
     if policy.checkpoint_tables() is None:
@@ -267,20 +343,27 @@ def compute_boundary_checkpoints(
             f"policy {policy_name!r} does not implement the warm-state "
             'checkpoint protocol; use warm_synthesis="recency" or "replay"'
         )
+    resident_blocks = {
+        name: cache.resident_blocks for name, cache in hierarchy.caches.items()
+    }
+    machine: FastMachine | None = None
+    if engine == "fast" and fastpath_eligible(hierarchy, trace):
+        machine = FastMachine(hierarchy)
+        # The checked-out upper levels live in the machine's flat arrays.
+        for level in (machine.l1i, machine.l1d, machine.l2):
+            resident_blocks[level.cache.name] = level.resident_blocks
     checkpoints: dict[int, dict[str, object]] = {}
     position = 0
     for boundary in sorted(set(boundaries)):
-        _functional_replay(hierarchy, trace, position, boundary)
+        _functional_replay(hierarchy, trace, position, boundary, machine)
         position = max(position, boundary)
         tables = policy.checkpoint_tables()
         assert tables is not None
         checkpoints[boundary] = {
             "tables": tables,
             "resident": {
-                name: np.sort(
-                    np.asarray(cache.resident_blocks(), dtype=np.uint64)
-                )
-                for name, cache in hierarchy.caches.items()
+                name: np.sort(np.asarray(blocks(), dtype=np.uint64))
+                for name, blocks in resident_blocks.items()
             },
         }
     return checkpoints
@@ -291,6 +374,7 @@ def synthesize_from_checkpoint(
     trace: Trace,
     boundary: int,
     checkpoint: dict[str, object],
+    machine: FastMachine | None = None,
 ) -> int:
     """Rebuild warm state from a boundary checkpoint.
 
@@ -301,25 +385,22 @@ def synthesize_from_checkpoint(
     the training noise those fills injected. Content and tables then
     match a full run's state at ``boundary`` bit-for-bit; only per-line
     predictor metadata is approximated, via the fill path with the
-    trained tables in place. Returns the number of fills performed.
+    trained tables in place. ``machine`` selects the fast rebuild (see
+    :func:`_refill`). Returns the number of fills performed.
     """
     policy = hierarchy.llc.policy
     tables = checkpoint["tables"]
     policy.restore_tables(tables)  # type: ignore[arg-type]
     resident: dict[str, np.ndarray] = checkpoint["resident"]  # type: ignore[assignment]
-    if boundary <= 0:
-        for cache in hierarchy.caches.values():
-            cache.reset_content()
-        return 0
     ordered_blocks, ordered_pcs, ordered_kinds = _prefix_last_touch(
-        trace, boundary, hierarchy.block_bits
+        trace, max(boundary, 0), hierarchy.block_bits
     )
     fills = 0
     for name, cache in hierarchy.caches.items():
         mask = np.isin(ordered_blocks, resident[name], assume_unique=True)
-        cache.reset_content()
-        fills += _fill_blocks(
-            cache, ordered_blocks[mask], ordered_pcs[mask], ordered_kinds[mask]
+        fills += _refill(
+            cache, ordered_blocks[mask], ordered_pcs[mask], ordered_kinds[mask],
+            machine,
         )
     policy.restore_tables(tables)  # type: ignore[arg-type]
     return fills
@@ -456,13 +537,28 @@ def simulate_sampled(
         strategy = "recency"
     if strategy == "checkpoint":
         boundaries = tuple(i.warm_start for i in plan.intervals)
-        key = _checkpoint_key(trace, config, policy_name, boundaries)
-        checkpoints = _CHECKPOINT_STORE.get(key)
-        if checkpoints is None:
+        if use_fast:
             checkpoints = compute_boundary_checkpoints(
                 trace, config, policy_name, boundaries
             )
-            _CHECKPOINT_STORE[key] = checkpoints
+        else:
+            checkpoints = compute_boundary_checkpoints(
+                trace, config, policy_name, boundaries, engine="reference"
+            )
+
+    # One machine serves every interval; it is checked in after the last.
+    machine = FastMachine(hierarchy) if use_fast else None
+
+    def run(core: CoreModel, start: int, stop: int) -> None:
+        if machine is not None:
+            machine.run(core, trace, start, stop)
+        else:
+            _run_accesses(hierarchy, core, trace, start, stop)
+
+    def reset_statistics(core: CoreModel) -> None:
+        _reset_statistics(hierarchy, int(core.cycle))
+        if machine is not None:
+            machine.reset_counters()
 
     measurements: list[tuple[SimulationResult, int]] = []
     synthesis_fills = 0
@@ -472,46 +568,35 @@ def simulate_sampled(
         if checkpoints is not None:
             synthesis_fills += synthesize_from_checkpoint(
                 hierarchy, trace, interval.warm_start,
-                checkpoints[interval.warm_start],
+                checkpoints[interval.warm_start], machine=machine,
             )
             checkpoint_restores += 1
         else:
             synthesis_fills += synthesize_warm_state(
-                hierarchy, trace, interval.replay_start
+                hierarchy, trace, interval.replay_start, machine=machine
             )
             if strategy == "replay":
                 replay_accesses += _functional_replay(
-                    hierarchy, trace, interval.replay_start, interval.warm_start
+                    hierarchy, trace, interval.replay_start, interval.warm_start,
+                    machine,
                 )
         warm_core = CoreModel(config.core)
         if interval.warm_start < interval.start:
-            if use_fast:
-                fast = FastMachine(hierarchy)
-                fast.run(warm_core, trace, interval.warm_start, interval.start)
-                warm_core.drain()
-                fast.checkin()
-            else:
-                _run_accesses(
-                    hierarchy, warm_core, trace, interval.warm_start, interval.start
-                )
-                warm_core.drain()
-        _reset_statistics(hierarchy, int(warm_core.cycle))
+            run(warm_core, interval.warm_start, interval.start)
+            warm_core.drain()
+        reset_statistics(warm_core)
         core = CoreModel(config.core)
-        if use_fast:
-            fast = FastMachine(hierarchy)
-            fast.run(core, trace, interval.start, interval.stop)
-            core_stats = core.drain()
-            fast.checkin()
-        else:
-            _run_accesses(hierarchy, core, trace, interval.start, interval.stop)
-            core_stats = core.drain()
+        run(core, interval.start, interval.stop)
+        core_stats = core.drain()
         measurements.append(
             (
                 snapshot_result(trace.name, policy_name, hierarchy, core_stats),
                 interval.weight,
             )
         )
-        _reset_statistics(hierarchy, int(core.cycle))
+        reset_statistics(core)
+    if machine is not None:
+        machine.checkin()
 
     info = {
         "sampling": sampling.to_json_dict(),

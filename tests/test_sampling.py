@@ -18,7 +18,10 @@ from repro.core.config import small_test_machine
 from repro.core.simulator import build_hierarchy, simulate
 from repro.errors import ConfigurationError
 from repro.harness.engine import SweepEngine, cell_key
+from repro.harness.equivalence import ifetch_mix
+from repro.policies.registry import PAPER_POLICIES
 from repro.sampling import (
+    SYNTHESIS_STRATEGIES,
     SamplingPlan,
     SamplingSpec,
     build_plan,
@@ -29,6 +32,8 @@ from repro.sampling import (
 )
 from repro.telemetry import TelemetryConfig
 from repro.trace import synthetic
+from repro.trace.record import AccessKind
+from repro.trace.trace import Trace
 
 
 def canonical(result) -> str:
@@ -41,6 +46,37 @@ def machine():
 
 
 @pytest.fixture(scope="module")
+def engine_traces(machine):
+    """Traces for the fast-vs-reference matrix on the small machine.
+
+    ``ifetch`` mixes IFETCHes and stores in. ``crowded`` maps 160
+    distinct blocks onto four sets of every level — more blocks per set
+    than the L2 and LLC have ways — so warm-state synthesis overflows
+    sets and takes its eviction path.
+    """
+    rng = np.random.default_rng(17)
+    n = 3_000
+    llc = build_hierarchy(machine, "lru").llc
+    blocks = (np.arange(40)[:, None] * llc.num_sets + np.arange(4)).ravel()
+    picks = np.where(
+        rng.random(n) < 0.5,
+        rng.integers(0, 24, n),  # a hot subset that hits now and then
+        rng.integers(0, len(blocks), n),
+    )
+    kinds = rng.choice(
+        [AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH], n, p=[0.6, 0.25, 0.15]
+    )
+    crowded = Trace.from_arrays(
+        (blocks[picks] << llc.block_bits).astype(np.uint64),
+        (0x400000 + 4 * rng.integers(0, 16, n)).astype(np.uint64),
+        kinds.astype(np.uint8),
+        rng.integers(1, 8, n).astype(np.uint32),
+        name="crowded-sets",
+    )
+    return {"ifetch": ifetch_mix(n), "crowded": crowded}
+
+
+@pytest.fixture(scope="module")
 def phase_trace():
     """Two distinct phases: a tight loop, then a streaming scan."""
     loop = synthetic.zipf_reuse(4_000, num_blocks=64, seed=1)
@@ -49,8 +85,6 @@ def phase_trace():
     pcs = np.concatenate([loop.pcs, stream.pcs + (1 << 20)])
     kinds = np.concatenate([loop.kinds, stream.kinds])
     gaps = np.concatenate([loop.gaps, stream.gaps])
-    from repro.trace.trace import Trace
-
     return Trace.from_arrays(addrs, pcs, kinds, gaps, name="two-phase")
 
 
@@ -208,7 +242,6 @@ class TestBuildPlan:
 
     def test_empty_trace_rejected(self):
         from repro.trace.record import TRACE_DTYPE
-        from repro.trace.trace import Trace
 
         empty = Trace(np.empty(0, dtype=TRACE_DTYPE))
         with pytest.raises(ConfigurationError, match="empty trace"):
@@ -313,12 +346,42 @@ class TestSimulateSampled:
                 phase_trace, config=machine, sampling=SamplingSpec(), engine="warp"
             )
 
-    def test_reference_engine_agrees(self, machine):
-        trace = synthetic.zipf_reuse(3_000, num_blocks=80, seed=6)
-        spec = SamplingSpec(intervals=2, window_size=400)
-        fast = simulate_sampled(trace, config=machine, sampling=spec, engine="fast")
+    @pytest.mark.parametrize("trace_name", ("ifetch", "crowded"))
+    @pytest.mark.parametrize("policy", ("lru", *PAPER_POLICIES))
+    @pytest.mark.parametrize("synthesis", SYNTHESIS_STRATEGIES)
+    def test_reference_engine_agrees(
+        self, machine, engine_traces, synthesis, policy, trace_name
+    ):
+        """The fast path (one machine per cell, flat-array synthesis, fast
+        functional passes) reproduces the reference oracle bit for bit."""
+        trace = engine_traces[trace_name]
+        spec = SamplingSpec(intervals=2, window_size=400, warm_synthesis=synthesis)
+        fast = simulate_sampled(
+            trace, config=machine, llc_policy=policy, sampling=spec, engine="fast"
+        )
         ref = simulate_sampled(
-            trace, config=machine, sampling=spec, engine="reference"
+            trace, config=machine, llc_policy=policy, sampling=spec,
+            engine="reference",
+        )
+        assert canonical(fast) == canonical(ref)
+
+    @pytest.mark.parametrize("trace_name", ("ifetch", "crowded"))
+    @pytest.mark.parametrize("synthesis", SYNTHESIS_STRATEGIES)
+    def test_reference_engine_agrees_without_warm_windows(
+        self, machine, engine_traces, synthesis, trace_name
+    ):
+        """Without a simulated warm-up, any DRAM state a functional pass
+        leaves behind reaches the measured interval directly."""
+        trace = engine_traces[trace_name]
+        spec = SamplingSpec(
+            intervals=2, window_size=400, warm_windows=0, warm_synthesis=synthesis
+        )
+        fast, ref = (
+            simulate_sampled(
+                trace, config=machine, llc_policy="ship", sampling=spec,
+                engine=engine,
+            )
+            for engine in ("fast", "reference")
         )
         assert canonical(fast) == canonical(ref)
 

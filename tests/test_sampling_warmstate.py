@@ -25,6 +25,7 @@ from repro.core.simulator import build_hierarchy, simulate
 from repro.errors import ConfigurationError
 from repro.policies.basic import LRUPolicy
 from repro.policies.registry import (
+    PAPER_POLICIES,
     WARM_STATE_EXCLUDED,
     available_policies,
     make_policy,
@@ -35,20 +36,21 @@ from repro.sampling import (
     VALIDATED_POLICIES,
     SamplingSpec,
     build_plan,
-    clear_checkpoint_store,
     compute_boundary_checkpoints,
     recombine,
     simulate_sampled,
     synthesize_from_checkpoint,
 )
-from repro.sampling import executor as executor_module
-from repro.sampling.executor import _fill_blocks, _functional_replay
+from repro.sampling.executor import _fill_blocks, _functional_replay, _refill_llc
 from repro.trace import synthetic
+from repro.trace.record import AccessKind
 from repro.trace.trace import Trace
 
 #: Registered policies implementing the warm-state checkpoint protocol.
-PROTOCOL_POLICIES = (
-    "srrip", "brrip", "drrip", "dip", "ship", "hawkeye", "glider", "mpppb",
+PROTOCOL_POLICIES = tuple(
+    name for name in available_policies()
+    if build_hierarchy(small_test_machine(), name).llc.policy.checkpoint_tables()
+    is not None
 )
 
 
@@ -154,6 +156,23 @@ class TestEvictionTrainingGuard:
         assert policy.on_eviction == original
         assert getattr(policy.on_eviction, "__name__", "") != "<lambda>"
 
+        # The fast path's LLC refill writes invalid ways directly and
+        # calls Cache.fill only once a set is full: overflow set 0 so the
+        # failing fill is reached there as well.
+        llc = hierarchy.llc
+
+        def failing_fill(block, pc, kind):
+            raise RuntimeError("injected fill failure")
+
+        llc.fill = failing_fill
+        set_zero = np.arange(llc.num_ways + 1, dtype=np.uint64) * llc.num_sets
+        with pytest.raises(RuntimeError, match="injected fill failure"):
+            _refill_llc(
+                llc, set_zero, set_zero, np.zeros(len(set_zero), dtype=np.uint8)
+            )
+        assert policy.on_eviction == original
+        assert getattr(policy.on_eviction, "__name__", "") != "<lambda>"
+
     def test_on_eviction_restored_after_clean_rebuild(self, machine, phase_trace):
         hierarchy = build_hierarchy(machine, "ship")
         policy = hierarchy.llc.policy
@@ -162,6 +181,40 @@ class TestEvictionTrainingGuard:
 
         synthesize_warm_state(hierarchy, phase_trace, 2_000)
         assert policy.on_eviction == original
+
+
+class TestLLCRefill:
+    @pytest.mark.parametrize("policy_name", ("lru", *PAPER_POLICIES))
+    def test_refill_matches_reset_and_fill(self, machine, phase_trace, policy_name):
+        """The fast path's direct LLC refill leaves the cache and its policy
+        exactly as ``reset_content`` + ``_fill_blocks`` would."""
+        hierarchies = [build_hierarchy(machine, policy_name) for _ in range(2)]
+        for hierarchy in hierarchies:  # trained tables and lines to replace
+            _functional_replay(hierarchy, phase_trace, 0, 3_000)
+        reference, fast = (hierarchy.llc for hierarchy in hierarchies)
+        rng = np.random.default_rng(29)
+        # 300 distinct blocks: 160 crowd four sets (40 blocks for 8 ways,
+        # so those sets overflow), 140 spread at random.
+        crowded = np.arange(40)[:, None] * reference.num_sets + np.arange(4)
+        spread = rng.choice(np.arange(10_000, 20_000), 140, replace=False)
+        blocks = np.concatenate([crowded.ravel(), spread]).astype(np.uint64)
+        rng.shuffle(blocks)
+        pcs = (0x400000 + 4 * rng.integers(0, 32, len(blocks))).astype(np.uint64)
+        kinds = rng.choice(
+            [AccessKind.LOAD, AccessKind.STORE, AccessKind.IFETCH], len(blocks)
+        ).astype(np.uint8)
+
+        reference.reset_content()
+        expected_fills = _fill_blocks(reference, blocks, pcs, kinds)
+        assert _refill_llc(fast, blocks, pcs, kinds) == expected_fills
+        assert reference.stats.evictions > 0  # the overflow path ran
+        assert fast._tags == reference._tags
+        assert fast._dirty == reference._dirty
+        assert fast.stats == reference.stats
+        assert (
+            fast.policy.checkpoint_tables() == reference.policy.checkpoint_tables()
+        )
+        assert fast.policy.snapshot_state() == reference.policy.snapshot_state()
 
 
 class TestRecombineDegenerate:
@@ -285,22 +338,15 @@ class TestSynthesisStrategies:
         # The requested spec still rides the result (distinct cache key).
         assert checkpoint.info["sampling"]["warm_synthesis"] == "checkpoint"
 
-    def test_checkpoint_deterministic_and_store_reused(
-        self, machine, phase_trace, monkeypatch
-    ):
+    def test_checkpoint_pass_rejects_unknown_engine(self, machine, phase_trace):
+        with pytest.raises(ConfigurationError, match="engine"):
+            compute_boundary_checkpoints(
+                phase_trace, machine, "ship", (1_000,), engine="warp"
+            )
+
+    def test_checkpoint_deterministic(self, machine, phase_trace):
         spec = SamplingSpec(
             intervals=3, window_size=500, warm_synthesis="checkpoint"
-        )
-        clear_checkpoint_store()
-        calls = {"n": 0}
-        real = compute_boundary_checkpoints
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(
-            executor_module, "compute_boundary_checkpoints", counting
         )
         a = simulate_sampled(
             phase_trace, config=machine, llc_policy="ship", sampling=spec
@@ -308,34 +354,38 @@ class TestSynthesisStrategies:
         b = simulate_sampled(
             phase_trace, config=machine, llc_policy="ship", sampling=spec
         )
-        assert calls["n"] == 1  # second run hits the in-process store
-        clear_checkpoint_store()
-        c = simulate_sampled(
-            phase_trace, config=machine, llc_policy="ship", sampling=spec
-        )
-        assert calls["n"] == 2
-        assert canonical(a) == canonical(b) == canonical(c)
+        assert canonical(a) == canonical(b)
         assert a.info["sampling_checkpoint_restores"] == len(
             a.info["sampling_plan"]["intervals"]
         )
 
-    @pytest.mark.parametrize("policy_name", ("ship", "hawkeye"))
+    @pytest.mark.parametrize("policy_name", PROTOCOL_POLICIES)
     def test_boundary_checkpoint_matches_uninterrupted_pass(
         self, machine, phase_trace, policy_name
     ):
-        boundary = 3_000
+        boundaries = (0, 1_500, 4_000, 1_500, len(phase_trace))
         checkpoints = compute_boundary_checkpoints(
-            phase_trace, machine, policy_name, (boundary,)
+            phase_trace, machine, policy_name, boundaries
         )
-        # An uninterrupted functional pass over the same prefix must
-        # land on bit-identical tables and resident sets.
+        assert sorted(checkpoints) == sorted(set(boundaries))
+        # An uninterrupted reference pass over the same prefix must land
+        # on bit-identical tables and resident sets at every boundary.
         reference = build_hierarchy(machine, policy_name)
-        _functional_replay(reference, phase_trace, 0, boundary)
-        checkpoint = checkpoints[boundary]
-        assert reference.llc.policy.checkpoint_tables() == checkpoint["tables"]
-        for name, cache in reference.caches.items():
-            expected = np.sort(np.asarray(cache.resident_blocks(), dtype=np.uint64))
-            assert np.array_equal(checkpoint["resident"][name], expected), name
+        position = 0
+        for boundary in sorted(set(boundaries)):
+            _functional_replay(reference, phase_trace, position, boundary)
+            position = boundary
+            checkpoint = checkpoints[boundary]
+            assert (
+                reference.llc.policy.checkpoint_tables() == checkpoint["tables"]
+            ), boundary
+            for name, cache in reference.caches.items():
+                expected = np.sort(
+                    np.asarray(cache.resident_blocks(), dtype=np.uint64)
+                )
+                assert np.array_equal(checkpoint["resident"][name], expected), (
+                    boundary, name,
+                )
 
     @pytest.mark.parametrize("policy_name", ("ship", "hawkeye"))
     def test_synthesize_from_checkpoint_reproduces_state(

@@ -38,6 +38,7 @@ from .core.config import cascade_lake
 from .core.simulator import simulate
 from .errors import ReproError
 from .gap.suite import GAP_KERNELS, GapWorkloadSpec, build_graph, run_kernel
+from .graphs.csr import CSRGraph
 from .harness import experiments as exp
 from .harness.runner import run_matrix
 from .policies.registry import BASELINE_POLICY, PAPER_POLICIES, available_policies
@@ -61,8 +62,12 @@ EXPERIMENTS = {
 }
 
 
-def _build_trace(workload: str, window: int):
-    """Resolve 'gap.<kernel>[.scaleN]' or 'spec06/17.<name>' to a trace."""
+def _build_trace(workload: str, window: int, graphs: dict[int, CSRGraph] | None = None):
+    """Resolve 'gap.<kernel>[.scaleN]' or 'spec06/17.<name>' to a trace.
+
+    ``graphs`` holds the GAP graphs built so far, keyed by scale; a
+    command passes one dict to every call so each graph is built once.
+    """
     parts = workload.split(".")
     if parts[0] == "gap":
         if len(parts) < 2 or parts[1] not in GAP_KERNELS:
@@ -71,8 +76,13 @@ def _build_trace(workload: str, window: int):
             )
         scale = int(parts[2]) if len(parts) > 2 else 16
         spec = GapWorkloadSpec(kernel=parts[1], graph_name="kron", scale=scale, degree=16)
-        graph = build_graph(spec)
-        return run_kernel(parts[1], graph, trace_name=spec.name, max_accesses=window).trace
+        if graphs is None:
+            graphs = {}
+        if scale not in graphs:
+            graphs[scale] = build_graph(spec)
+        return run_kernel(
+            parts[1], graphs[scale], trace_name=spec.name, max_accesses=window
+        ).trace
     if parts[0] in ("spec06", "spec17"):
         if len(parts) != 2:
             names = spec06_workloads() if parts[0] == "spec06" else spec17_workloads()
@@ -269,7 +279,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    traces = {w: _build_trace(w, args.window) for w in args.workloads}
+    graphs: dict[int, CSRGraph] = {}
+    traces = {w: _build_trace(w, args.window, graphs) for w in args.workloads}
     policies = [BASELINE_POLICY, *(args.policies or PAPER_POLICIES)]
     use_journal = not args.no_cache and not args.no_journal
     cache_max_bytes = args.cache_max_bytes

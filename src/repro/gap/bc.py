@@ -35,9 +35,12 @@ def betweenness_centrality(
     """Brandes BC from ``num_sources`` sources; returns scores + trace.
 
     With ``max_accesses`` set, the kernel stops once the trace budget is
-    reached — the returned ``values`` then cover only the completed part
-    of the computation (``trace.info["truncated"]`` is set). Correctness
-    tests run without a budget.
+    reached (``trace.info["truncated"]`` is set), and the returned
+    ``values`` cover only the completed part of the computation: the
+    forward phase stops at the next vertex, and its source adds nothing
+    to the scores; the backward phase stops at the next level, keeping
+    the dependencies of the levels it finished. Correctness tests run
+    without a budget.
     """
     n = graph.num_vertices
     if n == 0:
@@ -70,14 +73,15 @@ def betweenness_centrality(
         sigma[source] = 1.0
         levels: list[np.ndarray] = [np.array([source], dtype=np.int64)]
 
-        # Forward phase: BFS levels with path counting.
-        while True:
-            if builder.full:
-                builder.info["truncated"] = True
-                break
+        # Forward phase: BFS levels with path counting. The budget is
+        # checked per vertex: nothing after the window fills is recorded,
+        # and a source whose forward phase is cut adds nothing to scores.
+        while not builder.full:
             frontier = levels[-1]
             next_level: list[int] = []
             for u in frontier.tolist():
+                if builder.full:
+                    break
                 lo = int(graph.offsets[u])
                 hi = int(graph.offsets[u + 1])
                 builder.extend(
@@ -107,7 +111,8 @@ def betweenness_centrality(
                 break
             levels.append(np.unique(np.array(next_level, dtype=np.int64)))
 
-        if builder.info.get("truncated"):
+        if builder.full:
+            builder.info["truncated"] = True
             break  # budget hit mid-forward: skip this source's backward phase
 
         # Backward phase: accumulate dependencies level by level.

@@ -23,18 +23,19 @@ from .common import (
     make_kernel_tools,
     vertex_chunks,
 )
+from .memory import row_edge_indices
 
 
 def connected_components(
     graph: CSRGraph,
-    max_iterations: int = 64,
     trace_name: str | None = None,
     max_accesses: int | None = None,
 ) -> KernelRun:
     """Label-propagation CC; returns per-vertex component ids + trace.
 
-    ``max_accesses`` bounds the traced window; label propagation itself
-    runs to convergence, so ``values`` is exact regardless.
+    ``max_accesses`` bounds the traced window. Once it is full, sweeps
+    stop assembling access streams, but label propagation runs on until
+    no label changes, so ``values`` is exact regardless.
     """
     n = graph.num_vertices
     if n == 0:
@@ -49,10 +50,9 @@ def connected_components(
     pc_write = pcs.pc("cc.write_label")
 
     labels = np.arange(n, dtype=np.int64)
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.out_degrees())
     active = np.arange(n, dtype=np.int64)
-    for _ in range(max_iterations):
-        if len(active) == 0:
-            break
+    while len(active):
         for chunk in vertex_chunks(active):
             if builder.full:
                 break
@@ -71,29 +71,12 @@ def connected_components(
 
         # The actual propagation: labels take the min over self + neighbours.
         new_labels = labels.copy()
-        src = np.repeat(
-            np.arange(n, dtype=np.int64), graph.out_degrees()
-        )
         np.minimum.at(new_labels, src, labels[graph.neighbors])
         changed = np.nonzero(new_labels != labels)[0]
         labels = new_labels
         # Next sweep processes changed vertices and their neighbourhoods.
-        if len(changed):
-            neighbour_set = np.unique(
-                np.concatenate([changed, _neighbours_of(graph, changed)])
-            )
-            active = neighbour_set
-        else:
-            active = np.empty(0, dtype=np.int64)
+        touched = np.zeros(n, dtype=bool)
+        touched[changed] = True
+        touched[graph.neighbors[row_edge_indices(graph, changed)]] = True
+        active = np.nonzero(touched)[0]
     return KernelRun(name=name, values=labels, trace=builder.build(), pcs=pcs.sites)
-
-
-def _neighbours_of(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:
-    starts = graph.offsets[vertices]
-    degs = graph.offsets[vertices + 1] - starts
-    total = int(degs.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    row_starts = np.concatenate([[0], np.cumsum(degs)[:-1]])
-    idx = np.repeat(starts - row_starts, degs) + np.arange(total, dtype=np.int64)
-    return graph.neighbors[idx]

@@ -26,7 +26,9 @@ from .common import (
     gather_pass_stream,
     make_kernel_tools,
     pick_sources,
+    vertex_chunks,
 )
+from .memory import row_edge_indices
 
 
 def make_weights(graph: CSRGraph, max_weight: int = 64, seed: int = 7) -> np.ndarray:
@@ -49,8 +51,10 @@ def sssp(
 ) -> KernelRun:
     """Delta-stepping SSSP from ``source``; returns distances + trace.
 
-    ``max_accesses`` bounds the traced window; relaxation runs to
-    completion regardless, so ``values`` is exact.
+    ``max_accesses`` bounds the traced window. Once it is full, the
+    bucketed loop stops and vectorized relaxation rounds, which record
+    nothing, finish the distances from every queued vertex, so ``values``
+    is exact regardless.
     """
     n = graph.num_vertices
     if source is None:
@@ -81,9 +85,12 @@ def sssp(
     dist[source] = 0
     buckets: dict[int, set[int]] = {0: {source}}
     current = 0
-    processed: set[int] = set()
 
     while buckets:
+        if builder.full:
+            queued = sorted(set().union(*buckets.values()))
+            _relax_to_fixpoint(graph, weights, dist, np.array(queued, dtype=np.int64))
+            break
         while current not in buckets:
             current = min(buckets)
         frontier = np.array(sorted(buckets.pop(current)), dtype=np.int64)
@@ -91,26 +98,22 @@ def sssp(
         # bucket) are skipped, as in the reference algorithm.
         frontier = frontier[dist[frontier] // delta == current]
         if len(frontier) == 0:
-            if not buckets:
-                break
             continue
-        processed.update(frontier.tolist())
 
-        if not builder.full:
-            addrs, stream_pcs, kinds = gather_pass_stream(
-                graph,
-                mem,
-                frontier,
-                gather_prop="dist",
-                write_prop=None,
-                pc_oa=pc_oa,
-                pc_na=pc_na,
-                pc_gather=pc_gather,
-                with_weights=True,
-                pc_weight=pc_w,
-                pc_write=0,
-            )
-            emit_stream(builder, addrs, stream_pcs, kinds)
+        addrs, stream_pcs, kinds = gather_pass_stream(
+            graph,
+            mem,
+            frontier,
+            gather_prop="dist",
+            write_prop=None,
+            pc_oa=pc_oa,
+            pc_na=pc_na,
+            pc_gather=pc_gather,
+            with_weights=True,
+            pc_weight=pc_w,
+            pc_write=0,
+        )
+        emit_stream(builder, addrs, stream_pcs, kinds)
 
         # Relax all edges of the bucket.
         improved: list[int] = []
@@ -141,8 +144,27 @@ def sssp(
             for v in improved_arr.tolist():
                 bucket = int(dist[v]) // delta
                 buckets.setdefault(bucket, set()).add(v)
-                processed.discard(v)
-        if not buckets:
-            break
     dist[dist == inf] = -1
     return KernelRun(name=name, values=dist, trace=builder.build(), pcs=pcs.sites)
+
+
+def _relax_to_fixpoint(
+    graph: CSRGraph, weights: np.ndarray, dist: np.ndarray, active: np.ndarray
+) -> None:
+    """Finish ``dist`` in place with vectorized Bellman-Ford rounds.
+
+    ``active`` must hold every vertex whose current distance has not had
+    its edges relaxed yet (the bucketed loop's queued vertices). Each
+    round relaxes the edges of the vertices whose distance improved in
+    the previous one until nothing improves, which leaves the shortest
+    distances: unique, so equal to what the bucketed loop would reach.
+    Rounds walk the vertices in chunks, which bounds their memory.
+    """
+    degrees = graph.out_degrees()
+    while len(active):
+        before = dist.copy()
+        for chunk in vertex_chunks(active):
+            edge_idx = row_edge_indices(graph, chunk)
+            cand = np.repeat(dist[chunk], degrees[chunk]) + weights[edge_idx]
+            np.minimum.at(dist, graph.neighbors[edge_idx], cand)
+        active = np.nonzero(dist < before)[0]

@@ -73,21 +73,21 @@ class CSRGraph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if len(edges) and (edges.min() < 0 or edges.max() >= num_vertices):
             raise GraphError("edge endpoints out of range")
-        if symmetrize and len(edges):
-            edges = np.concatenate([edges, edges[:, ::-1]])
-        if dedup and len(edges):
-            edges = edges[edges[:, 0] != edges[:, 1]]  # drop self-loops
-            # unique rows via a 1-D key
-            keys = edges[:, 0] * np.int64(num_vertices) + edges[:, 1]
-            _, idx = np.unique(keys, return_index=True)
-            edges = edges[np.sort(idx)]
-        src = edges[:, 0]
-        dst = edges[:, 1]
-        # Sorting by (src, dst) groups rows and leaves each adjacency
-        # list sorted — deterministic traversal order in one pass.
-        order = np.lexsort((dst, src))
-        src = src[order]
-        neighbors = dst[order]
+        src, dst = edges[:, 0], edges[:, 1]
+        if symmetrize:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        # Sorting by (src, dst) groups rows and leaves each adjacency list
+        # sorted — deterministic traversal order in one pass.
+        if dedup:
+            # One sort of the 1-D key src * n + dst, self-loops dropped,
+            # also puts duplicates next to each other.
+            keys = np.sort((src * np.int64(num_vertices) + dst)[src != dst])
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            src, neighbors = np.divmod(keys[first], np.int64(num_vertices))
+        else:
+            order = np.lexsort((dst, src))
+            src, neighbors = src[order], dst[order]
         counts = np.bincount(src, minlength=num_vertices)
         offsets = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])

@@ -51,6 +51,31 @@ class TestSweep:
         assert "spec06.milc" in captured.out
         assert "6 simulated" in captured.err  # 2 workloads x (lru + 2 policies)
 
+    def test_gap_graph_built_once_per_scale(self, capsys, monkeypatch):
+        import repro.__main__ as cli
+
+        built, swept = [], {}
+        real_build, real_matrix = cli.build_graph, cli.run_matrix
+
+        def counting_build(spec):
+            built.append(spec.scale)
+            return real_build(spec)
+
+        def capturing_matrix(traces, *args, **kwargs):
+            swept.update(traces)
+            return real_matrix(traces, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_graph", counting_build)
+        monkeypatch.setattr(cli, "run_matrix", capturing_matrix)
+        workloads = ["gap.bfs.10", "gap.pr.10", "gap.cc.9"]
+        rc = main(["sweep", *workloads, "--policies", "srrip", "--window", "2000",
+                   "--jobs", "1", "--no-cache"])
+        assert rc == 0
+        assert sorted(built) == [9, 10]
+        for workload in workloads:
+            alone = cli._build_trace(workload, 2000)
+            assert swept[workload].digest() == alone.digest()
+
     def test_sweep_caches_across_invocations(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         argv = ["sweep", "gap.cc.10", "--policies", "srrip",

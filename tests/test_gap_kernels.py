@@ -8,19 +8,39 @@ paper's characterization claims.
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.gap import (
+    GAP_KERNELS,
+    GapWorkloadSpec,
     bfs,
     betweenness_centrality,
+    build_graph,
     connected_components,
     make_weights,
     pagerank,
+    run_kernel,
     sssp,
     triangle_count,
 )
 from repro.gap.common import pick_sources
-from repro.graphs import CSRGraph, cycle_graph, path_graph, star_graph, uniform_random
+from repro.graphs import (
+    CSRGraph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    star_graph,
+    uniform_random,
+)
+
+
+def _as_networkx(graph):
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.num_vertices))
+    g.add_edges_from(graph.edges().tolist())
+    return g
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +50,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def nx_graph(graph):
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.num_vertices))
-    g.add_edges_from(graph.edges().tolist())
-    return g
+    return _as_networkx(graph)
 
 
 class TestBFS:
@@ -155,6 +172,18 @@ class TestConnectedComponents:
         labels = connected_components(g).values
         assert labels[2] == 2
 
+    @pytest.mark.parametrize(
+        "make_graph",
+        [lambda: path_graph(200), lambda: grid_graph(60, 60)],
+        ids=["path200", "grid60x60"],
+    )
+    def test_converges_on_long_diameter_graphs(self, make_graph):
+        """path(200) needs 200 sweeps and grid(60, 60) needs 119."""
+        g = make_graph()
+        labels = connected_components(g).values
+        expected = nx.number_connected_components(_as_networkx(g))
+        assert len(np.unique(labels)) == expected
+
 
 class TestSSSP:
     def test_matches_dijkstra(self, graph):
@@ -251,6 +280,28 @@ class TestTriangleCount:
 
     def test_pc_count_is_tiny(self, graph):
         assert len(triangle_count(graph).pcs) == 3
+
+
+class TestTraceBudget:
+    """A trace budget truncates the trace and changes no record before the cut."""
+
+    @given(
+        family=st.sampled_from(["kron", "urand"]),
+        scale=st.integers(4, 9),
+        degree=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_budgeted_trace_is_prefix_of_full(self, family, scale, degree, seed, data):
+        graph = build_graph(GapWorkloadSpec("bfs", family, scale, degree, seed=seed))
+        for kernel in GAP_KERNELS:
+            full = run_kernel(kernel, graph, trace_name=kernel)
+            budget = data.draw(st.integers(1, len(full.trace) + 5), label=kernel)
+            cut = run_kernel(kernel, graph, trace_name=kernel, max_accesses=budget)
+            assert np.array_equal(cut.trace.records, full.trace.records[:budget]), kernel
+            if kernel in ("pr", "cc", "sssp"):  # exact whatever the budget
+                assert np.array_equal(cut.values, full.values), kernel
 
 
 class TestKernelTraceShape:

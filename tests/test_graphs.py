@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import (
@@ -61,6 +63,56 @@ class TestCSRConstruction:
         g = CSRGraph.from_edges(3, np.empty((0, 2)))
         assert g.num_edges == 0
         assert g.out_degree(0) == 0
+
+
+def _three_sort_csr(num_vertices, edges, symmetrize, dedup=True):
+    """Reference CSR builder with three sorts: np.unique(return_index=True),
+    a re-sort of the kept rows, then a lexsort by (src, dst)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if symmetrize and len(edges):
+        edges = np.concatenate([edges, edges[:, ::-1]])
+    if dedup and len(edges):
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        keys = edges[:, 0] * np.int64(num_vertices) + edges[:, 1]
+        _, idx = np.unique(keys, return_index=True)
+        edges = edges[np.sort(idx)]
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    src, neighbors = edges[order, 0], edges[order, 1]
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
+    return offsets, neighbors
+
+
+# Few vertices and many edges, so duplicates and self-loops are common.
+edge_lists = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+    )
+)
+
+
+class TestFromEdgesOracle:
+    @given(edge_lists, st.booleans())
+    @example((3, []), False)
+    @example((3, []), True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_three_sort_builder(self, case, symmetrize):
+        n, pairs = case
+        edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        g = CSRGraph.from_edges(n, edges, symmetrize=symmetrize)
+        offsets, neighbors = _three_sort_csr(n, edges, symmetrize)
+        assert g.offsets.dtype == g.neighbors.dtype == np.int64
+        assert np.array_equal(g.offsets, offsets)
+        assert np.array_equal(g.neighbors, neighbors)
+
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+        t_offsets, t_neighbors = _three_sort_csr(
+            n, np.column_stack([neighbors, src]), symmetrize=False, dedup=False
+        )
+        t = g.transpose()
+        assert np.array_equal(t.offsets, t_offsets)
+        assert np.array_equal(t.neighbors, t_neighbors)
 
 
 class TestQueries:

@@ -344,7 +344,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if matrix.run_id is not None:
         print(f"run {matrix.run_id} journalled at {matrix.journal_path}",
               file=sys.stderr)
-    if matrix.failure_report is not None and matrix.failure_report.cells:
+    if matrix.failure_report.cells:
         from .harness.report import render_failure_report
 
         print(render_failure_report(matrix.failure_report), file=sys.stderr)
@@ -656,8 +656,7 @@ def main(argv: list[str] | None = None) -> int:
                               "and restarts at the first incomplete cell")
     p_sweep.add_argument("--failure-report", metavar="PATH", default=None,
                          help="write the failure report JSON here (default: "
-                              "<run_id>-failures.json next to the journal "
-                              "when resilience is armed)")
+                              "<run_id>-failures.json next to the journal)")
     p_sweep.add_argument("--memory-budget-mb", type=float, default=None,
                          metavar="MB",
                          help="per-worker RSS budget; cells that exceed it "

@@ -20,6 +20,12 @@ parallel and perfectly cacheable. :class:`SweepEngine` exploits both:
 * **Failure isolation** — with ``isolate_failures=True`` a crashing cell
   records a structured :class:`CellError` and the rest of the matrix
   completes; failed cells are never cached, so a re-run retries them.
+* **One execution path** — every uncached cell, and every batch group
+  of the batched engine, runs through
+  :class:`~repro.resilience.executor.ResilientExecutor`, in process or
+  in a worker pool. A sweep without a retry policy runs under
+  :data:`SINGLE_ATTEMPT`, so failure classification, poison isolation,
+  the failure report and shutdown behave the same at any ``jobs``.
 
 :func:`repro.harness.runner.run_matrix` routes through a default engine
 configured from the environment (``REPRO_JOBS``, ``REPRO_CACHE_DIR``),
@@ -30,12 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
+import threading
 import time
 import traceback as traceback_module
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -46,7 +54,6 @@ from ..core.simulator import DEFAULT_WARMUP_FRACTION, simulate
 from ..errors import (
     CacheIntegrityError,
     ConfigurationError,
-    MemoryBudgetError,
     SimulationError,
     SweepInterrupted,
 )
@@ -112,6 +119,15 @@ SALT_SOURCE_PACKAGES = (
 ENV_JOBS = "REPRO_JOBS"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
+
+#: The retry policy of a sweep run without one: a single attempt per
+#: cell, and the first strike (a worker death, a timeout or a memory
+#: budget breach) poisons the cell.
+SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, poison_strikes=1)
+
+#: Seconds between a pool worker's checks that the sweeping process is
+#: still its parent.
+_PARENT_POLL_S = 0.5
 
 
 def _salt_root() -> Path:
@@ -254,10 +270,11 @@ class CellError:
     policy: str
     error_type: str
     message: str
-    traceback: str = ""
     #: Failure-taxonomy bucket (:class:`repro.resilience.FailureKind`
-    #: value); "deterministic" for non-resilient sweeps.
-    classification: str = "deterministic"
+    #: value), as :func:`repro.resilience.classify_failure` and the
+    #: strike ladder assigned it.
+    classification: str
+    traceback: str = ""
 
     def render(self) -> str:
         return f"{self.workload} x {self.policy}: {self.error_type}: {self.message}"
@@ -288,9 +305,8 @@ class SweepOutcome:
     matrix: RunMatrix
     errors: dict[tuple[str, str], CellError] = field(default_factory=dict)
     stats: SweepStats = field(default_factory=SweepStats)
-    #: Per-attempt accounting of everything the resilience layer
-    #: absorbed; ``None`` for sweeps run without a retry policy.
-    failure_report: "FailureReport | None" = None
+    #: Per-attempt accounting of every cell failure the sweep met.
+    failure_report: FailureReport = field(default_factory=FailureReport)
     #: Identity of the run journal this sweep wrote (``repro sweep
     #: --resume <run_id>``); ``None`` for journal-less sweeps.
     run_id: str | None = None
@@ -720,10 +736,29 @@ def _install_worker_traces(traces: dict[str, Trace]) -> None:
     Runs once per worker process, so each trace crosses the process
     boundary at most once per worker instead of once per (cell ×
     attempt) submission — previously a P-policy sweep re-pickled every
-    trace P times (more under retries).
+    trace P times (more under retries). In a pool worker it also starts
+    :func:`_exit_with_parent`.
     """
     _WORKER_TRACES.clear()
     _WORKER_TRACES.update(traces)
+    parent = multiprocessing.parent_process()
+    if parent is not None:  # None when called in the sweeping process itself
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.pid,), daemon=True
+        ).start()
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """End this pool worker once the process that created it is gone.
+
+    A sweep killed with ``SIGKILL`` never shuts its pool down, and its
+    orphaned workers would keep their trace registry (and any pipe they
+    inherited) alive. An orphan is re-parented, so its parent pid
+    changes.
+    """
+    while os.getppid() == parent_pid:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
 
 
 def _simulate_cell_by_name(
@@ -848,6 +883,9 @@ class SweepEngine:
         resumed after ``kill -9`` at the first incomplete cell. ``None``
         (the default) disables journaling; journaling also requires a
         cache, because the cache holds the results the journal points at.
+        It must not be the cache root or lie inside it (cache
+        maintenance would count, report or delete journal files);
+        :class:`~repro.errors.ConfigurationError` otherwise.
     cache_max_bytes:
         Byte budget of the result cache: after every store the least-
         recently-used entries are pruned until the cache fits. ``None``
@@ -870,6 +908,14 @@ class SweepEngine:
             else None
         )
         self.journal_dir = Path(journal_dir) if journal_dir else None
+        if self.cache is not None and self.journal_dir is not None:
+            if self.journal_dir.resolve().is_relative_to(self.cache.root.resolve()):
+                raise ConfigurationError(
+                    f"journal directory {self.journal_dir} lies inside the "
+                    f"cache root {self.cache.root}; `repro cache prune` and "
+                    "`clear` would delete resume state — use a sibling "
+                    "directory"
+                )
 
     @classmethod
     def from_env(cls, jobs: int | None = None) -> "SweepEngine":
@@ -918,21 +964,26 @@ class SweepEngine:
         """Run every (trace, policy) cell and assemble a :class:`RunMatrix`.
 
         Cells present in the cache are loaded without simulating; the
-        rest run serially or across ``jobs`` worker processes. Cell
-        results land in the matrix in deterministic (workload, policy)
-        order regardless of completion order. With ``isolate_failures``
-        a failing cell becomes a :class:`CellError` in the outcome and
-        the rest of the sweep completes; otherwise the first failure
-        propagates (completed cells are already checkpointed, so a rerun
-        resumes past them). ``telemetry`` arms interval-resolved
-        observability (:mod:`repro.telemetry`) on every cell; the
-        configuration is part of each cell's cache key, so telemetry-
-        armed results never collide with plain ones.
+        rest run through one :class:`~repro.resilience.ResilientExecutor`:
+        in process, or across ``jobs`` worker processes when ``jobs > 1``
+        and more than one cell is pending. Cell results land in the
+        matrix in deterministic (workload, policy) order regardless of
+        completion order. With ``isolate_failures`` a failing cell
+        becomes a :class:`CellError` in the outcome and the rest of the
+        sweep completes; otherwise the first failure propagates
+        (completed cells are already checkpointed, so a rerun resumes
+        past them). ``telemetry`` arms interval-resolved observability
+        (:mod:`repro.telemetry`) on every cell; the configuration is
+        part of each cell's cache key, so telemetry-armed results never
+        collide with plain ones.
 
-        ``retry`` arms the resilience layer (:mod:`repro.resilience`):
-        transient failures are retried with deterministic backoff, a
-        ``cell_timeout`` is enforced by a watchdog, worker-pool deaths
-        are recovered, and every absorbed failure lands in the outcome's
+        ``retry`` sets how hard the executor fights for each cell
+        (:mod:`repro.resilience`): transient failures are retried with
+        deterministic backoff, a ``cell_timeout`` is enforced by a
+        watchdog, and worker-pool deaths are recovered. ``None`` means
+        :data:`SINGLE_ATTEMPT`: one attempt, and a worker death, timeout
+        or memory-budget breach poisons the cell at once. Every failed
+        attempt lands in the outcome's
         :class:`~repro.resilience.report.FailureReport`. A timeout (or a
         ``chaos`` plan) forces pool execution even at ``jobs=1``, since
         a hung in-process cell cannot be aborted. ``chaos`` injects
@@ -947,6 +998,7 @@ class SweepEngine:
         access-stream plan, falling back to the ordinary per-cell path
         for ineligible or failed cells. All three are bit-identical, so
         the engine choice is deliberately *not* part of the cache key.
+        The batched pass honours ``shutdown`` between groups.
 
         ``sampling`` runs every cell under representative-interval
         sampling (:mod:`repro.sampling`); the spec *is* part of the
@@ -960,7 +1012,7 @@ class SweepEngine:
         ``memory_budget_mb`` arms a per-worker RSS watchdog on every
         cell: a cell that blows the budget fails with a structured
         :class:`~repro.errors.MemoryBudgetError` (retried with a strike
-        under ``retry``; classified poison otherwise) instead of drawing
+        under ``retry``; poisoned at once otherwise) instead of drawing
         the OS OOM-killer onto the pool.
 
         With the engine's ``journal_dir`` set (and a cache configured),
@@ -978,8 +1030,9 @@ class SweepEngine:
         raises :class:`~repro.errors.SweepInterrupted` naming the run id
         to resume from. ``failure_report_path`` persists the
         schema-versioned failure-report JSON there (default, when
-        journaled: next to the journal) — including on interrupts, so a
-        partial sweep still leaves complete accounting behind.
+        journaled: next to the journal) — on every such sweep, including
+        interrupted ones, so a partial sweep still leaves complete
+        accounting behind.
         """
         if engine not in ("fast", "reference", "batched"):
             raise ConfigurationError(
@@ -1062,6 +1115,11 @@ class SweepEngine:
             pending.append((workload, policy))
         if journal is not None:
             journal.flush()
+        failure_report = FailureReport()
+        if self.cache is not None:
+            failure_report.quarantined_cache_entries = (
+                self.cache.quarantined_count - quarantined_before
+            )
 
         def record(workload: str, policy: str, result: SimulationResult) -> None:
             resolved[(workload, policy)] = result
@@ -1077,19 +1135,12 @@ class SweepEngine:
                 journal.record_cell(workload, policy, CELL_OK, key=key)
 
         def record_failure(
-            workload: str,
-            policy: str,
-            exc: BaseException,
-            classification: str = FailureKind.DETERMINISTIC.value,
+            workload: str, policy: str, exc: BaseException, kind: FailureKind
         ) -> None:
             if journal is not None:
-                status = (
-                    CELL_POISONED
-                    if classification == FailureKind.POISON.value
-                    else CELL_FAILED
-                )
+                status = CELL_POISONED if kind is FailureKind.POISON else CELL_FAILED
                 journal.record_cell(
-                    workload, policy, status, classification=classification
+                    workload, policy, status, classification=kind.value
                 )
             if not isolate_failures:
                 raise exc
@@ -1099,73 +1150,79 @@ class SweepEngine:
                 policy=policy,
                 error_type=type(exc).__name__,
                 message=str(exc),
+                classification=kind.value,
                 traceback="".join(
                     traceback_module.format_exception(type(exc), exc, exc.__traceback__)
                 ),
-                classification=classification,
             )
 
         cell_engine = "fast" if engine == "batched" else engine
-        failure_report = (
-            FailureReport() if retry is not None or chaos is not None else None
-        )
+        if chaos is not None:
+            from ..resilience.chaos import _chaos_simulate_cell
+
+            def submit(pool, workload: str, policy: str, attempt: int):  # noqa: ARG001
+                return pool.submit(
+                    _chaos_simulate_cell, chaos, workload, policy,
+                    traces[workload], config, warmup_fraction, sanitize,
+                    telemetry, memory_budget_mb,
+                )
+        else:
+            def submit(pool, workload: str, policy: str, attempt: int):  # noqa: ARG001
+                # Traces live in the worker-side registry (installed by
+                # the pool initializer); submit names only.
+                return pool.submit(
+                    _simulate_cell_by_name, workload, policy,
+                    config, warmup_fraction, sanitize, telemetry, cell_engine,
+                    sampling, memory_budget_mb,
+                )
+
+        def run_inline(workload: str, policy: str, attempt: int):  # noqa: ARG001
+            return _simulate_cell(
+                workload, policy, traces[workload], config, warmup_fraction,
+                sanitize, telemetry, cell_engine, sampling, memory_budget_mb,
+            )
+
+        retry = retry if retry is not None else SINGLE_ATTEMPT
         finished = False
         try:
             # Batched execution runs first and only handles what it can:
             # eligible cells complete through shared per-trace plans, the
-            # rest fall through to the ordinary per-cell machinery below
-            # (which preserves retry classification, chaos injection and
+            # rest stay pending for the per-cell phase below (which
+            # preserves retry classification, chaos injection and
             # sanitizer semantics the batch path deliberately excludes).
             if (
                 engine == "batched" and pending and not sanitize
                 and chaos is None and sampling is None
             ):
-                pending = self._run_batched(
-                    pending, traces, config, warmup_fraction, telemetry, record,
+                self._run_batched(
+                    pending, traces, config, warmup_fraction, telemetry,
+                    record, shutdown, drain_timeout,
                 )
+                pending = [cell for cell in pending if cell not in resolved]
 
-            if failure_report is not None:
-                self._run_resilient(
-                    pending, traces, config, warmup_fraction, sanitize,
-                    telemetry,
-                    retry if retry is not None else RetryPolicy(),
-                    chaos, record, record_failure, cell_engine, sampling,
-                    failure_report, memory_budget_mb, shutdown, drain_timeout,
-                )
-                if self.cache is not None:
-                    failure_report.quarantined_cache_entries = (
-                        self.cache.quarantined_count - quarantined_before
-                    )
-            elif self.jobs > 1 and len(pending) > 1:
-                self._run_parallel(
-                    pending, traces, config, warmup_fraction, sanitize,
-                    telemetry, record, record_failure, cell_engine, sampling,
-                    memory_budget_mb, shutdown, drain_timeout,
-                )
+            executor = self._executor(
+                retry, len(pending), pending, traces,
+                submit=submit,
+                run_inline=run_inline,
+                on_success=lambda workload, policy, payload: record(
+                    workload, policy, payload[2]
+                ),
+                on_failure=record_failure,
+                report=failure_report,
+                shutdown=shutdown,
+                drain_timeout=drain_timeout,
+            )
+            # A hung or crashing in-process cell takes the sweep with it,
+            # so the watchdog and chaos injection need the pool even at
+            # jobs=1.
+            if pending and (
+                retry.cell_timeout is not None
+                or chaos is not None
+                or (self.jobs > 1 and len(pending) > 1)
+            ):
+                self._run_parallel(executor, pending)
             else:
-                for workload, policy in pending:
-                    if shutdown is not None and shutdown.requested:
-                        break  # stop submitting; drained cells are recorded
-                    try:
-                        _, _, result = _simulate_cell(
-                            workload, policy, traces[workload], config,
-                            warmup_fraction, sanitize, telemetry, cell_engine,
-                            sampling, memory_budget_mb,
-                        )
-                    except (KeyboardInterrupt, SystemExit):
-                        raise  # never swallowed into a CellError
-                    except (MemoryError, MemoryBudgetError) as exc:
-                        # Poison: an OOM-ing (or budget-blowing) cell will
-                        # do it again; without a retry policy there is no
-                        # strike ladder, so isolate it outright.
-                        record_failure(
-                            workload, policy, exc,
-                            classification=FailureKind.POISON.value,
-                        )
-                    except Exception as exc:
-                        record_failure(workload, policy, exc)
-                    else:
-                        record(workload, policy, result)
+                executor.run_serial(pending)
 
             if (
                 shutdown is not None
@@ -1194,22 +1251,21 @@ class SweepEngine:
                     complete=finished
                     and len(resolved) + len(errors) == len(cells)
                 )
-            if failure_report is not None:
-                report_target = failure_report_path
-                if report_target is None and journal is not None:
-                    report_target = journal.failure_report_path
-                if report_target is not None:
-                    try:
-                        write_failure_report(
-                            report_target, failure_report.to_json_dict()
-                        )
-                    except OSError as exc:
-                        warnings.warn(
-                            f"could not persist the failure report to "
-                            f"{report_target} ({exc})",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
+            report_target = failure_report_path
+            if report_target is None and journal is not None:
+                report_target = journal.failure_report_path
+            if report_target is not None:
+                try:
+                    write_failure_report(
+                        report_target, failure_report.to_json_dict()
+                    )
+                except OSError as exc:
+                    warnings.warn(
+                        f"could not persist the failure report to "
+                        f"{report_target} ({exc})",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
 
         matrix = RunMatrix(config=config)
         for workload in traces:
@@ -1227,199 +1283,43 @@ class SweepEngine:
             journal_path=journal.path if journal is not None else None,
         )
 
-    def _run_resilient(
+    def _executor(
         self,
+        retry: RetryPolicy,
+        units: int,
         pending: list[tuple[str, str]],
         traces: dict[str, Trace],
-        config: MachineConfig,
-        warmup_fraction: float,
-        sanitize: bool,
-        telemetry: TelemetryConfig | None,
-        retry: RetryPolicy,
-        chaos: "ChaosPlan | None",
-        record: Callable[[str, str, SimulationResult], None],
-        record_failure: Callable[..., None],
-        engine: str = "fast",
-        sampling: SamplingSpec | None = None,
-        report: FailureReport | None = None,
-        memory_budget_mb: float | None = None,
-        shutdown: ShutdownCoordinator | None = None,
-        drain_timeout: float = 30.0,
-    ) -> FailureReport:
-        """Run pending cells through the fault-tolerant executor.
+        **callbacks,
+    ) -> ResilientExecutor:
+        """An executor for ``units`` work items over ``pending``'s traces.
 
-        The watchdog and chaos injection both need cells in worker
-        processes (a hung or crashing in-process cell takes the sweep
-        with it), so either forces the pool path even at ``jobs=1``.
-        ``report`` is filled in place (the engine passes its own so the
-        partial report survives an interrupt mid-run).
+        ``callbacks`` are the remaining :class:`ResilientExecutor`
+        arguments. Every pool generation (including watchdog rebuilds)
+        installs the pending cells' traces in its workers, so work can
+        be submitted by workload name.
         """
-        if report is None:
-            report = FailureReport()
-        use_pool = (
-            self.jobs > 1 or retry.cell_timeout is not None or chaos is not None
-        )
-
-        if chaos is not None:
-            from ..resilience.chaos import _chaos_simulate_cell
-
-            def submit(pool, workload: str, policy: str, attempt: int):  # noqa: ARG001
-                return pool.submit(
-                    _chaos_simulate_cell, chaos, workload, policy,
-                    traces[workload], config, warmup_fraction, sanitize,
-                    telemetry, memory_budget_mb,
-                )
-        else:
-            def submit(pool, workload: str, policy: str, attempt: int):  # noqa: ARG001
-                # Traces live in the worker-side registry (installed by
-                # the pool initializer below); submit names only.
-                return pool.submit(
-                    _simulate_cell_by_name, workload, policy,
-                    config, warmup_fraction, sanitize, telemetry, engine,
-                    sampling, memory_budget_mb,
-                )
-
-        def run_inline(workload: str, policy: str, attempt: int):  # noqa: ARG001
-            return _simulate_cell(
-                workload, policy, traces[workload], config, warmup_fraction,
-                sanitize, telemetry, engine, sampling, memory_budget_mb,
-            )
-
-        def on_success(workload: str, policy: str, payload: object) -> None:
-            _, _, result = payload  # type: ignore[misc]
-            record(workload, policy, result)
-
-        def on_failure(
-            workload: str, policy: str, exc: BaseException, kind: FailureKind
-        ) -> None:
-            record_failure(workload, policy, exc, classification=kind.value)
-
-        workers = min(self.jobs, len(pending)) or 1
+        workers = min(self.jobs, units)
 
         def pool_factory() -> ProcessPoolExecutor:
-            # Every pool generation (including watchdog rebuilds) gets
-            # the trace registry, so by-name submission keeps working
-            # after a pool recycle.
             return ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_install_worker_traces,
                 initargs=(_pending_traces(pending, traces),),
             )
 
-        executor = ResilientExecutor(
-            retry=retry,
-            workers=workers,
-            submit=submit,
-            run_inline=run_inline,
-            on_success=on_success,
-            on_failure=on_failure,
-            report=report,
-            pool_factory=pool_factory,
-            shutdown=shutdown,
-            drain_timeout=drain_timeout,
+        return ResilientExecutor(
+            retry=retry, workers=workers, pool_factory=pool_factory, **callbacks
         )
-        if use_pool and pending:
-            executor.run_pool(pending)
-        else:
-            executor.run_serial(pending)
-        return report
 
     def _run_parallel(
-        self,
-        pending: list[tuple[str, str]],
-        traces: dict[str, Trace],
-        config: MachineConfig,
-        warmup_fraction: float,
-        sanitize: bool,
-        telemetry: TelemetryConfig | None,
-        record: Callable[[str, str, SimulationResult], None],
-        record_failure: Callable[..., None],
-        engine: str = "fast",
-        sampling: SamplingSpec | None = None,
-        memory_budget_mb: float | None = None,
-        shutdown: ShutdownCoordinator | None = None,
-        drain_timeout: float = 30.0,
+        self, executor: ResilientExecutor, pending: list[tuple[str, str]]
     ) -> None:
-        """Fan pending cells out over a process pool, streaming results.
+        """Run the per-cell phase in a worker pool.
 
-        Results are recorded (and checkpointed to the cache) as each
-        future completes, not at the end — an interrupt mid-sweep keeps
-        everything already finished. With ``shutdown`` armed the wait
-        loop polls the flag (Python signal handlers cannot interrupt a
-        ``concurrent.futures`` wait): on request, queued cells are
-        cancelled and running ones drain for ``drain_timeout`` seconds.
+        A method of its own so that a profiler can time the pool phase
+        by name (the benchmark's traced mode wraps it).
         """
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_install_worker_traces,
-            initargs=(_pending_traces(pending, traces),),
-        ) as pool:
-            futures: dict[Future, tuple[str, str]] = {
-                pool.submit(
-                    _simulate_cell_by_name, workload, policy,
-                    config, warmup_fraction, sanitize, telemetry, engine,
-                    sampling, memory_budget_mb,
-                ): (workload, policy)
-                for workload, policy in pending
-            }
-            outstanding = set(futures)
-
-            def consume(done: set[Future]) -> None:
-                for future in done:
-                    if future.cancelled():
-                        continue  # shutdown cancelled it before it started
-                    workload, policy = futures[future]
-                    try:
-                        _, _, result = future.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise  # never swallowed into a CellError
-                    except (MemoryError, MemoryBudgetError) as exc:
-                        # Poison, not a generic cell failure: retrying
-                        # an OOM-ing cell only re-kills workers.
-                        record_failure(
-                            workload, policy, exc,
-                            classification=FailureKind.POISON.value,
-                        )
-                    except Exception as exc:
-                        record_failure(workload, policy, exc)
-                    else:
-                        record(workload, policy, result)
-
-            try:
-                while outstanding:
-                    # Checked before waiting so a request that landed
-                    # before (or between) wait slices cancels queued
-                    # cells immediately instead of letting them start
-                    # during one more slice.
-                    if shutdown is not None and shutdown.requested:
-                        # Graceful stop: queued cells are abandoned (the
-                        # journal marks them incomplete, so a resume
-                        # re-runs them); already-running cells get a
-                        # drain window to finish and be checkpointed.
-                        for future in outstanding:
-                            future.cancel()
-                        deadline = time.monotonic() + drain_timeout
-                        while outstanding and time.monotonic() < deadline:
-                            done, outstanding = wait(
-                                outstanding, timeout=0.25,
-                                return_when=FIRST_COMPLETED,
-                            )
-                            consume(done)
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        return
-                    slice_timeout = 0.5 if shutdown is not None else None
-                    done, outstanding = wait(
-                        outstanding, timeout=slice_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    consume(done)
-            except BaseException:
-                # Abandon queued cells so a failing sweep (or Ctrl-C)
-                # doesn't wait for the whole matrix; completed cells are
-                # already checkpointed in the cache.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+        executor.run_pool(pending)
 
     def _run_batched(
         self,
@@ -1429,85 +1329,60 @@ class SweepEngine:
         warmup_fraction: float,
         telemetry: TelemetryConfig | None,
         record: Callable[[str, str, SimulationResult], None],
-    ) -> list[tuple[str, str]]:
+        shutdown: ShutdownCoordinator | None,
+        drain_timeout: float,
+    ) -> None:
         """Run pending cells through per-trace batch plans.
 
         Cells are grouped by workload and each group runs every
         batch-eligible policy against one shared
         :class:`~repro.mem.batch.BatchPlan` (trace decoded once, core +
-        upper-hierarchy work amortized across policies). Completed cells
-        are recorded (and checkpointed) immediately; everything the
-        batch path could not complete — ineligible policies, plan
-        failures, individual cell errors, whole-group worker crashes —
-        is returned in deterministic order for the ordinary per-cell
-        machinery, which owns failure classification and retries.
+        upper-hierarchy work amortized across policies). Groups are the
+        executor's work items, under :data:`SINGLE_ATTEMPT`. Completed
+        cells are recorded (and checkpointed) immediately; everything a
+        group could not complete — ineligible policies, plan failures,
+        individual cell errors, a group that raised or lost its worker —
+        stays pending for the per-cell phase, which owns failure
+        classification and retries. A shutdown request stops the pass
+        between groups; the cells of groups that never started stay
+        unrun.
         """
         groups: dict[str, list[str]] = {}
         for workload, policy in pending:
             groups.setdefault(workload, []).append(policy)
-        leftover: set[tuple[str, str]] = set()
 
-        def consume(
-            workload: str,
-            outcomes: list[tuple[str, bool, SimulationResult | None]],
-        ) -> None:
+        def submit(pool, workload: str, unit: str, attempt: int):  # noqa: ARG001
+            return pool.submit(
+                _simulate_group_by_name, workload, groups[workload],
+                config, warmup_fraction, telemetry,
+            )
+
+        def run_inline(workload: str, unit: str, attempt: int):  # noqa: ARG001
+            return _simulate_group(
+                workload, groups[workload], traces[workload], config,
+                warmup_fraction, telemetry,
+            )
+
+        def on_success(workload: str, unit: str, payload: object) -> None:  # noqa: ARG001
+            _, outcomes = payload  # type: ignore[misc]
             for policy, completed, result in outcomes:
                 if completed and result is not None:
                     record(workload, policy, result)
-                else:
-                    leftover.add((workload, policy))
 
+        executor = self._executor(
+            SINGLE_ATTEMPT, len(groups), pending, traces,
+            submit=submit,
+            run_inline=run_inline,
+            on_success=on_success,
+            # A failed group forfeits only its batch: its cells stay
+            # pending and are classified by the per-cell phase.
+            on_failure=lambda *failure: None,
+            report=FailureReport(),
+            shutdown=shutdown,
+            drain_timeout=drain_timeout,
+        )
+        units = [(workload, "batch") for workload in groups]
         if self.jobs > 1 and len(groups) > 1:
-            workers = min(self.jobs, len(groups))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_install_worker_traces,
-                initargs=(_pending_traces(pending, traces),),
-            ) as pool:
-                futures: dict[Future, tuple[str, list[str]]] = {
-                    pool.submit(
-                        _simulate_group_by_name, workload, policies,
-                        config, warmup_fraction, telemetry,
-                    ): (workload, policies)
-                    for workload, policies in groups.items()
-                }
-                outstanding = set(futures)
-                try:
-                    while outstanding:
-                        done, outstanding = wait(
-                            outstanding, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            workload, policies = futures[future]
-                            try:
-                                _, outcomes = future.result()
-                            except (KeyboardInterrupt, SystemExit):
-                                raise
-                            except Exception:
-                                # A group-level fault (worker death,
-                                # registry miss) forfeits only this
-                                # trace's batch; its cells retry per
-                                # cell where failures are classified.
-                                leftover.update(
-                                    (workload, policy) for policy in policies
-                                )
-                            else:
-                                consume(workload, outcomes)
-                except BaseException:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
+            executor.run_pool(units)
         else:
-            for workload, policies in groups.items():
-                try:
-                    _, outcomes = _simulate_group(
-                        workload, policies, traces[workload], config,
-                        warmup_fraction, telemetry,
-                    )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    leftover.update((workload, policy) for policy in policies)
-                else:
-                    consume(workload, outcomes)
-
-        return [cell for cell in pending if cell in leftover]
+            executor.run_serial(units)

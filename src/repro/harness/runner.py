@@ -20,6 +20,7 @@ from ..core.results import SimulationResult
 from ..core.simulator import DEFAULT_WARMUP_FRACTION
 from ..errors import SimulationError
 from ..policies.registry import BASELINE_POLICY
+from ..resilience.report import FailureReport
 from ..trace.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us)
@@ -27,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (engine imports us)
 
     from ..resilience.durability import ShutdownCoordinator
     from ..resilience.policy import RetryPolicy
-    from ..resilience.report import FailureReport
     from ..sampling.spec import SamplingSpec
     from ..telemetry.collector import TelemetryConfig
     from .engine import SweepEngine, SweepStats
@@ -46,9 +46,9 @@ class RunMatrix:
     #: Filled by the sweep engine: how many cells were cache hits vs
     #: simulated (None when the matrix was assembled by hand).
     sweep_stats: "SweepStats | None" = None
-    #: Filled by the sweep engine when a retry policy was armed: every
-    #: failure the resilience layer absorbed (None otherwise).
-    failure_report: "FailureReport | None" = None
+    #: Filled by the sweep engine: every cell failure the sweep met
+    #: (empty for a matrix assembled by hand).
+    failure_report: FailureReport = field(default_factory=FailureReport)
     #: Filled by the sweep engine when a run journal was armed: the
     #: journalled run id (``repro sweep --resume <run_id>``) and the
     #: journal file itself (None when journalling was off).
@@ -132,9 +132,10 @@ def run_matrix(
     docs/telemetry.md); each cell's profile lands in its
     ``result.info["telemetry"]``. ``retry`` arms the resilience layer
     (bounded retry with deterministic backoff, per-cell wall-clock
-    timeouts, worker-pool recovery — see docs/resilience.md); the
-    absorbed failures ride back on ``matrix.failure_report``. Cell
-    failures that survive the retry budget propagate; use
+    timeouts, worker-pool recovery — see docs/resilience.md); every
+    failed attempt rides back on ``matrix.failure_report``, with or
+    without ``retry``. Cell failures that survive the retry budget
+    propagate; use
     :meth:`repro.harness.engine.SweepEngine.run` directly for per-cell
     failure isolation and engine statistics.
 

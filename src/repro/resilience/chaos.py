@@ -363,7 +363,6 @@ def run_chaos(
         traces, list(policies), config=config,
         isolate_failures=True, retry=retry, chaos=schedule.plan,
     )
-    assert outcome.failure_report is not None
     report.failure_report = outcome.failure_report
     report.sweep_completed = not outcome.errors and all(
         p in outcome.matrix.results.get(w, {}) for w, p in cells
@@ -428,10 +427,11 @@ class _QuotaCache:
         return Quota()
 
 
-#: The child program of the kill+resume scenario: a journaled, cached,
-#: serial sweep whose cells are artificially slowed so the parent can
-#: SIGKILL it deterministically mid-matrix. Parameters arrive as one
-#: JSON argv document; traces are loaded from files the parent saved.
+#: The child program of the kill+resume scenario: a journaled, cached
+#: sweep whose cells are artificially slowed so the parent can SIGKILL
+#: it deterministically mid-matrix. Parameters arrive as one JSON argv
+#: document; traces are loaded from files the parent saved. Pool
+#: workers are forked from the child, so they inherit the slowed cell.
 _KILL_RESUME_CHILD = """
 import json, sys, time
 
@@ -452,7 +452,8 @@ def _slowed(*args, **kwargs):
 eng._simulate_cell = _slowed
 
 engine = SweepEngine(
-    cache_dir=params["cache_dir"], jobs=1, journal_dir=params["journal_dir"]
+    cache_dir=params["cache_dir"], jobs=params["jobs"],
+    journal_dir=params["journal_dir"],
 )
 engine.run(traces, params["policies"], config=small_test_machine())
 """
@@ -506,8 +507,14 @@ def _scenario_kill_resume(
     baseline,
     root: Path,
     say: Callable[[str], None],
+    jobs: int,
 ) -> ScenarioResult:
-    """SIGKILL a journaled child sweep mid-matrix, then resume it."""
+    """SIGKILL a journaled child sweep mid-matrix, then resume it.
+
+    Child and resume both run at ``jobs``. At ``jobs > 1`` the child's
+    orphaned pool workers must exit on their own, or they would hold
+    the child's stderr pipe open.
+    """
     import signal
     import subprocess
     import sys
@@ -532,6 +539,7 @@ def _scenario_kill_resume(
         "policies": list(policies),
         "cache_dir": str(work / "cache"),
         "journal_dir": str(journal_dir),
+        "jobs": jobs,
         "cell_delay": 0.75,  # slow cells so the kill lands mid-matrix
     }
     env = os.environ.copy()
@@ -578,7 +586,7 @@ def _scenario_kill_resume(
 
     say(f"kill-resume: child killed after {partial} cells; resuming ...")
     engine = SweepEngine(
-        cache_dir=params["cache_dir"], jobs=1, journal_dir=journal_dir
+        cache_dir=params["cache_dir"], jobs=jobs, journal_dir=journal_dir
     )
     outcome = engine.run(traces, list(policies), config=config)
     details["resumed_cells"] = outcome.stats.resumed
@@ -672,7 +680,6 @@ def _scenario_memory_bomb(
         retry=retry, chaos=plan, memory_budget_mb=256.0,
     )
     report = outcome.failure_report
-    assert report is not None
     budget_attempts = report.attempts_with_error("MemoryBudgetError")
     details = {
         "budget_attempts": len(budget_attempts),
@@ -742,7 +749,7 @@ def run_chaos_v2(
     for name in scenarios:
         if name == "kill-resume":
             result = _scenario_kill_resume(
-                traces, policies, config, baseline, root, say
+                traces, policies, config, baseline, root, say, jobs
             )
         elif name == "disk-full":
             result = _scenario_disk_full(

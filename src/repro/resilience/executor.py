@@ -1,8 +1,12 @@
 """Fault-tolerant execution of sweep cells.
 
-:class:`ResilientExecutor` is the engine's execution loop when a
-:class:`~repro.resilience.policy.RetryPolicy` (or chaos plan) is armed.
-It owns three recovery mechanisms the plain executor lacks:
+:class:`ResilientExecutor` is the only loop that runs the cells of a
+sweep, in process (:meth:`~ResilientExecutor.run_serial`) or in a
+worker pool (:meth:`~ResilientExecutor.run_pool`), at any ``jobs``. A
+sweep without a :class:`~repro.resilience.policy.RetryPolicy` runs
+under a one-attempt policy, so classification, poison isolation, the
+failure report and shutdown behave the same with and without retries.
+It owns three recovery mechanisms:
 
 * **Retry with deterministic backoff** — transient failures are retried
   up to ``max_attempts`` with exponential backoff and seeded jitter;
@@ -24,6 +28,8 @@ It owns three recovery mechanisms the plain executor lacks:
 Submission is bounded to the worker count, so every in-flight future is
 actually running — deadlines measure real wall-clock execution, and a
 pool break never charges strikes to cells that were still queued.
+Freed slots are refilled before the finished cells' callbacks run, so
+workers do not idle while the caller stores results.
 
 Every absorbed failure lands in the shared
 :class:`~repro.resilience.report.FailureReport`.
@@ -193,9 +199,8 @@ class ResilientExecutor:
         """Retry loop without a pool (no timeout enforcement possible).
 
         The engine routes timeout-armed or chaos-armed sweeps to
-        :meth:`run_pool` even at ``jobs=1``; this path covers plain
-        retry/classification where in-process execution keeps unit
-        sweeps hermetic.
+        :meth:`run_pool` even at ``jobs=1``; every other sweep with one
+        worker (or one pending cell) runs here, in process.
         """
         for workload, policy in cells:
             if self._stopping():
@@ -231,7 +236,12 @@ class ResilientExecutor:
     # -- pool path ----------------------------------------------------------
 
     def run_pool(self, cells: Iterable[tuple[str, str]]) -> None:
-        """Fan cells over a process pool with watchdog + rebuild."""
+        """Fan cells over a process pool with watchdog + rebuild.
+
+        When every cell has finished, the pool shuts down normally, so
+        its workers run their exit handlers. Workers are terminated
+        only on abort, timeout, pool break or shutdown drain.
+        """
         timeout = self.retry.cell_timeout
         seq = itertools.count()  # heap tie-breaker
         queue: deque[_CellState] = deque(_CellState(w, p) for w, p in cells)
@@ -242,6 +252,22 @@ class ResilientExecutor:
         def reschedule(cell: _CellState, backoff: float) -> None:
             heapq.heappush(delayed, (time.monotonic() + backoff, next(seq), cell))
 
+        def fill() -> None:
+            nonlocal pool
+            while queue and len(inflight) < self.workers:
+                cell = queue.popleft()
+                if pool is None:
+                    pool = (
+                        self.pool_factory()
+                        if self.pool_factory is not None
+                        else ProcessPoolExecutor(max_workers=self.workers)
+                    )
+                future = self.submit(pool, cell.workload, cell.policy, cell.attempt)
+                started = time.monotonic()
+                deadline = float("inf") if timeout is None else started + timeout
+                inflight[future] = (cell, started, deadline)
+
+        completed = False
         try:
             while queue or delayed or inflight:
                 if self._stopping():
@@ -250,18 +276,7 @@ class ResilientExecutor:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     queue.append(heapq.heappop(delayed)[2])
-                while queue and len(inflight) < self.workers:
-                    cell = queue.popleft()
-                    if pool is None:
-                        pool = (
-                            self.pool_factory()
-                            if self.pool_factory is not None
-                            else ProcessPoolExecutor(max_workers=self.workers)
-                        )
-                    future = self.submit(pool, cell.workload, cell.policy, cell.attempt)
-                    started = time.monotonic()
-                    deadline = float("inf") if timeout is None else started + timeout
-                    inflight[future] = (cell, started, deadline)
+                fill()
 
                 if not inflight:
                     if delayed:  # everything is backing off
@@ -278,17 +293,24 @@ class ResilientExecutor:
                     timeout=self._wait_slice(inflight, delayed),
                     return_when=FIRST_COMPLETED,
                 )
+                ended = time.monotonic()
+                finished = [(future, *inflight.pop(future)) for future in done]
+                pool_broke = any(
+                    isinstance(future.exception(), BrokenProcessPool)
+                    for future in done
+                )
+                if not pool_broke:
+                    # Keep the workers busy while the callbacks below
+                    # store results and journal them.
+                    fill()
 
-                pool_broke = False
-                for future in done:
-                    cell, started, _ = inflight.pop(future)
-                    duration = time.monotonic() - started
+                for future, cell, started, _ in finished:
+                    duration = ended - started
                     try:
                         result = future.result()
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BrokenProcessPool as exc:
-                        pool_broke = True
                         self._absorb(cell, exc, duration, strike=True,
                                      reschedule=reschedule)
                     except Exception as exc:
@@ -322,9 +344,13 @@ class ResilientExecutor:
                         # pool and resubmit the innocent in-flight cells
                         # at the same attempt with no penalty.
                         pool = self._recycle_pool(pool, inflight, queue, kill=True)
+            completed = True
         finally:
             if pool is not None:
-                self._shutdown_pool(pool, kill=True)
+                if completed:
+                    pool.shutdown(wait=True)
+                else:
+                    self._shutdown_pool(pool, kill=True)
 
     def _wait_slice(
         self,

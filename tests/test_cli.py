@@ -375,7 +375,7 @@ class TestDurableSweep:
         import json
         from pathlib import Path
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
         main(["sweep", "gap.cc.10", "--policies", "srrip",
               "--window", "5000", "--jobs", "1"])
@@ -386,7 +386,7 @@ class TestDurableSweep:
         assert report["clean"] is True
         assert report["checked"] == 2
 
-        entry = next(p for p in Path(tmp_path).rglob("*.json")
+        entry = next(p for p in Path(tmp_path / "cache").rglob("*.json")
                      if p.parent.name != "quarantine")
         entry.write_text(entry.read_text()[:-20], encoding="utf-8")
         assert main(["cache", "verify", "--json"]) == 1
@@ -399,6 +399,17 @@ class TestDurableSweep:
         assert main(["cache", "verify", "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["previously_quarantined"] == 1
+
+    def test_journal_inside_cache_root_reported(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
+        rc = main(["sweep", "gap.cc.10", "--policies", "srrip",
+                   "--window", "2000", "--jobs", "1"])
+        assert rc == 1
+        assert "inside the cache root" in capsys.readouterr().err
+        assert not (tmp_path / "journal").exists()
 
     def test_chaos_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):

@@ -5,8 +5,12 @@ watchdog), failure-report persistence, and the chaos v2 plumbing."""
 import errno
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,16 @@ class TestJournalledSweep:
         assert outcome.run_id is None
         assert not (tmp_path / "journal").exists()
 
+    def test_journal_inside_cache_root_refused(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        for journal in (cache, cache / "journal"):
+            with pytest.raises(ConfigurationError, match="inside the cache root"):
+                SweepEngine(cache_dir=cache, journal_dir=journal)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(cache / "journal"))
+        with pytest.raises(ConfigurationError, match="inside the cache root"):
+            SweepEngine.from_env()
+
 
 class TestGracefulShutdown:
     def test_exit_code_is_bsd_tempfail(self):
@@ -263,6 +277,47 @@ class TestGracefulShutdown:
         assert len(resumed.matrix.results) == 2
         assert resumed.stats.cells == 6
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batched_pass_stops_between_groups(
+            self, tmp_path, monkeypatch, jobs):
+        five = {
+            f"t{i}": synthetic.zipf_reuse(2000, num_blocks=200, seed=i)
+            for i in range(5)
+        }
+        policies = ["lru", "srrip"]
+        uninterrupted = SweepEngine().run(
+            five, policies, config=tiny_config(), engine="batched")
+
+        shutdown = ShutdownCoordinator()
+        real_store = ResultCache.store
+
+        def store_then_shutdown(self, key, result):
+            shutdown.request("SIGTERM")
+            return real_store(self, key, result)
+
+        monkeypatch.setattr(ResultCache, "store", store_then_shutdown)
+        engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=jobs,
+                             journal_dir=tmp_path / "journal")
+        with pytest.raises(SweepInterrupted):
+            engine.run(five, policies, config=tiny_config(),
+                       engine="batched", shutdown=shutdown)
+
+        monkeypatch.setattr(ResultCache, "store", real_store)
+        resumed = engine.run(five, policies, config=tiny_config(),
+                             engine="batched")
+        assert 0 < resumed.stats.resumed < 10
+        assert resumed.stats.simulated == 10 - resumed.stats.resumed
+        canonical = {
+            (w, p): json.dumps(r.to_json_dict(), sort_keys=True)
+            for w, row in resumed.matrix.results.items()
+            for p, r in row.items()
+        }
+        assert canonical == {
+            (w, p): json.dumps(r.to_json_dict(), sort_keys=True)
+            for w, row in uninterrupted.matrix.results.items()
+            for p, r in row.items()
+        }
+
     def test_completed_sweep_ignores_late_request(self, tmp_path, traces):
         shutdown = ShutdownCoordinator()
         engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=1,
@@ -271,6 +326,89 @@ class TestGracefulShutdown:
                              shutdown=shutdown)
         shutdown.request("SIGTERM")
         assert len(outcome.matrix.results) == 2
+
+
+#: A journalled jobs=2 sweep whose cells record their worker's pid and
+#: then stall, so the test can SIGKILL the sweep with both workers busy.
+_STALLED_SWEEP = """
+import json, os, sys, time
+from pathlib import Path
+
+import repro.harness.engine as eng
+from repro.core.config import small_test_machine
+from repro.trace import synthetic
+
+params = json.loads(sys.argv[1])
+real = eng._simulate_cell
+
+def stalled(*args, **kwargs):
+    Path(params["pid_dir"], str(os.getpid())).touch()
+    time.sleep(120)
+    return real(*args, **kwargs)
+
+eng._simulate_cell = stalled
+traces = {f"t{i}": synthetic.zipf_reuse(500, num_blocks=50, seed=i)
+          for i in range(2)}
+eng.SweepEngine(
+    cache_dir=params["cache_dir"], journal_dir=params["journal_dir"], jobs=2,
+).run(traces, ["lru", "srrip"], config=small_test_machine())
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live process (zombies count as gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to observe worker processes")
+def test_pool_workers_exit_when_the_sweep_is_killed(tmp_path):
+    import repro
+
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    params = {
+        "pid_dir": str(pid_dir),
+        "cache_dir": str(tmp_path / "cache"),
+        "journal_dir": str(tmp_path / "journal"),
+    }
+    env = dict(os.environ)
+    package_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_SWEEP, json.dumps(params)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers: list[int] = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2:
+            assert child.poll() is None, "the sweep exited early"
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.05)
+            workers = [int(p.name) for p in pid_dir.iterdir()]
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=10)
+
+        deadline = time.monotonic() + 5.0
+        while any(_running(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"orphaned pool workers {workers} outlived the sweep"
+            )
+            time.sleep(0.1)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestSerialInterruptRegression:

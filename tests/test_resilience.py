@@ -3,6 +3,8 @@ resilient execution (timeouts, BrokenProcessPool recovery, poison),
 cache integrity/quarantine, and the chaos harness end-to-end."""
 
 import json
+import multiprocessing
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -12,6 +14,7 @@ from repro.errors import (
     CacheIntegrityError,
     CellTimeoutError,
     ConfigurationError,
+    MemoryBudgetError,
     UnknownPolicyError,
 )
 from repro.harness.engine import ResultCache, SweepEngine, result_checksum
@@ -24,6 +27,7 @@ from repro.resilience import (
     classify_failure,
 )
 from repro.resilience.chaos import plan_chaos, run_chaos
+from repro.resilience.durability import RunJournal
 from repro.resilience.report import (
     OUTCOME_POISONED,
     OUTCOME_RECOVERED,
@@ -326,6 +330,119 @@ class TestEngineResilience:
         ]
         assert backoffs[0] == backoffs[1]
         assert backoffs[0], "the crash must have been absorbed"
+
+
+def _cell_faults(faults: dict, monkeypatch) -> None:
+    """Make ``_simulate_cell`` raise ``faults[(workload, policy)]()``.
+
+    Pool workers are forked from the test process, so they inherit the
+    patch as well.
+    """
+    import repro.harness.engine as engine_module
+
+    real = engine_module._simulate_cell
+
+    def faulty(workload, policy, *args, **kwargs):
+        if (workload, policy) in faults:
+            faults[(workload, policy)]()
+        return real(workload, policy, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "_simulate_cell", faulty)
+
+
+def _kill_worker():
+    if multiprocessing.parent_process() is None:
+        pytest.fail("the cell ran in the test process, not in a pool worker")
+    os._exit(66)
+
+
+def _raise(exc_type, message):
+    def fault():
+        raise exc_type(message)
+
+    return fault
+
+
+class TestOneExecutionPath:
+    """Failure semantics are the same at any ``jobs`` and with or
+    without a retry policy: every cell runs through ResilientExecutor."""
+
+    @pytest.fixture(scope="class")
+    def four_traces(self):
+        return {
+            f"t{i}": synthetic.zipf_reuse(1500, num_blocks=150, seed=i)
+            for i in range(4)
+        }
+
+    def test_worker_death_without_retries_poisons_only_struck_cells(
+            self, four_traces, monkeypatch):
+        policies = ["lru", "srrip", "drrip"]
+        config = tiny_config()
+        baseline = SweepEngine(jobs=1).run(four_traces, policies, config=config)
+
+        _cell_faults({("t1", "srrip"): _kill_worker}, monkeypatch)
+        outcome = SweepEngine(jobs=2).run(
+            four_traces, policies, config=config, isolate_failures=True,
+        )
+        assert ("t1", "srrip") in outcome.errors
+        assert 1 <= len(outcome.errors) <= 2, "only the cells in flight fail"
+        for error in outcome.errors.values():
+            assert error.error_type == "BrokenProcessPool"
+            assert error.classification == "poison"
+        for workload, row in baseline.matrix.results.items():
+            for policy, result in row.items():
+                if (workload, policy) not in outcome.errors:
+                    assert outcome.matrix.get(workload, policy) == result
+        report = outcome.failure_report
+        assert set(report.cells) == set(outcome.errors)
+        assert all(h.outcome == OUTCOME_POISONED for h in report.cells.values())
+        assert report.pool_rebuilds == 1
+
+    @pytest.mark.parametrize(
+        "retry", [None, RetryPolicy(max_attempts=2, **FAST_RETRY)],
+        ids=["no-retry", "retry"],
+    )
+    def test_failure_semantics_equal_at_any_jobs(
+            self, traces, tmp_path, monkeypatch, retry):
+        _cell_faults({
+            ("zipf", "srrip"): _raise(ValueError, "simulator bug"),
+            ("stream", "lru"): _raise(MemoryError, "would be OOM-killed"),
+            ("stream", "srrip"): _raise(MemoryBudgetError, "RSS over budget"),
+        }, monkeypatch)
+        seen = []
+        for jobs in (1, 2):
+            engine = SweepEngine(
+                cache_dir=tmp_path / f"cache-{jobs}", jobs=jobs,
+                journal_dir=tmp_path / f"journal-{jobs}",
+            )
+            outcome = engine.run(
+                traces, ["lru", "srrip"], config=tiny_config(),
+                isolate_failures=True, retry=retry,
+            )
+            journal = RunJournal.load(outcome.journal_path)
+            report_path = outcome.journal_path.with_name(
+                f"{outcome.run_id}-failures.json"
+            )
+            assert report_path.is_file()
+            persisted = json.loads(report_path.read_text())
+            seen.append((
+                {cell: (e.error_type, e.classification)
+                 for cell, e in outcome.errors.items()},
+                {cell: (r["status"], r["classification"])
+                 for cell, r in journal.cells.items()},
+                {cell: (h.outcome, len(h.attempts))
+                 for cell, h in outcome.failure_report.cells.items()},
+                {(c["workload"], c["policy"]): c["outcome"]
+                 for c in persisted["cells"]},
+            ))
+        assert seen[0] == seen[1]
+        errors = seen[0][0]
+        assert errors[("zipf", "srrip")] == ("ValueError", "deterministic")
+        assert errors[("stream", "lru")] == ("MemoryError", "poison")
+        assert errors[("stream", "srrip")] == (
+            ("MemoryBudgetError", "poison") if retry is None
+            else ("MemoryBudgetError", "transient")
+        )
 
 
 class TestCacheIntegrity:

@@ -38,6 +38,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import select
 import shutil
 import threading
 import time
@@ -126,7 +127,7 @@ ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, poison_strikes=1)
 
 #: Seconds between a pool worker's checks that the sweeping process is
-#: still its parent.
+#: still its parent, where the worker cannot wait on a pidfd.
 _PARENT_POLL_S = 0.5
 
 
@@ -737,27 +738,39 @@ def _install_worker_traces(traces: dict[str, Trace]) -> None:
     boundary at most once per worker instead of once per (cell ×
     attempt) submission — previously a P-policy sweep re-pickled every
     trace P times (more under retries). In a pool worker it also starts
-    :func:`_exit_with_parent`.
+    :func:`_exit_with_sweep`.
     """
     _WORKER_TRACES.clear()
     _WORKER_TRACES.update(traces)
     parent = multiprocessing.parent_process()
     if parent is not None:  # None when called in the sweeping process itself
         threading.Thread(
-            target=_exit_with_parent, args=(parent.pid,), daemon=True
+            target=_exit_with_sweep, args=(parent.pid,), daemon=True
         ).start()
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """End this pool worker once the process that created it is gone.
+def _exit_with_sweep(sweep_pid: int) -> None:
+    """End this pool worker once the sweeping process ``sweep_pid`` is gone.
 
     A sweep killed with ``SIGKILL`` never shuts its pool down, and its
     orphaned workers would keep their trace registry (and any pipe they
-    inherited) alive. An orphan is re-parented, so its parent pid
-    changes.
+    inherited) alive. The worker's OS parent is not always the sweep:
+    under ``forkserver`` it is the fork server, which outlives the sweep
+    while any worker does. So the worker waits on a pidfd of the sweep
+    itself. Without pidfds (off Linux, or before Linux 5.3) it falls back
+    to noticing its own re-parenting, which catches the sweep's death
+    under ``fork`` and ``spawn``.
     """
-    while os.getppid() == parent_pid:
-        time.sleep(_PARENT_POLL_S)
+    try:
+        pidfd = os.pidfd_open(sweep_pid)
+    except ProcessLookupError:
+        os._exit(1)  # the sweep is already gone
+    except (AttributeError, OSError):
+        parent_pid = os.getppid()
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_S)
+    else:
+        select.select([pidfd], [], [])  # readable once the sweep exits
     os._exit(1)
 
 
@@ -966,7 +979,8 @@ class SweepEngine:
         Cells present in the cache are loaded without simulating; the
         rest run through one :class:`~repro.resilience.ResilientExecutor`:
         in process, or across ``jobs`` worker processes when ``jobs > 1``
-        and more than one cell is pending. Cell results land in the
+        and more than one cell is pending or ``retry`` allows more than
+        one attempt. Cell results land in the
         matrix in deterministic (workload, policy) order regardless of
         completion order. With ``isolate_failures`` a failing cell
         becomes a :class:`CellError` in the outcome and the rest of the
@@ -1214,11 +1228,13 @@ class SweepEngine:
             )
             # A hung or crashing in-process cell takes the sweep with it,
             # so the watchdog and chaos injection need the pool even at
-            # jobs=1.
+            # jobs=1, and a retried sweep at jobs > 1 keeps a lone
+            # pending cell there too: a worker-killing cell then ends up
+            # poisoned instead of taking the sweep down.
             if pending and (
                 retry.cell_timeout is not None
                 or chaos is not None
-                or (self.jobs > 1 and len(pending) > 1)
+                or (self.jobs > 1 and (len(pending) > 1 or retry.max_attempts > 1))
             ):
                 self._run_parallel(executor, pending)
             else:

@@ -200,7 +200,8 @@ class ResilientExecutor:
 
         The engine routes timeout-armed or chaos-armed sweeps to
         :meth:`run_pool` even at ``jobs=1``; every other sweep with one
-        worker (or one pending cell) runs here, in process.
+        worker (or one pending cell and a single attempt) runs here, in
+        process.
         """
         for workload, policy in cells:
             if self._stopping():
@@ -299,7 +300,7 @@ class ResilientExecutor:
                     isinstance(future.exception(), BrokenProcessPool)
                     for future in done
                 )
-                if not pool_broke:
+                if not pool_broke and not self._stopping():
                     # Keep the workers busy while the callbacks below
                     # store results and journal them.
                     fill()

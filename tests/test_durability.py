@@ -4,6 +4,7 @@ watchdog), failure-report persistence, and the chaos v2 plumbing."""
 
 import errno
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -407,6 +408,70 @@ def test_pool_workers_exit_when_the_sweep_is_killed(tmp_path):
         for pid in workers:
             try:
                 os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+#: A forkserver pool built with the engine's worker initializer: its
+#: worker must serve calls that outlive a few parent-watch polls, then
+#: exit once the process that built the pool is killed.
+_FORKSERVER_POOL = """
+import multiprocessing, os, sys, time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
+from repro.harness.engine import _PARENT_POLL_S, _install_worker_traces
+
+pool = ProcessPoolExecutor(
+    max_workers=1, mp_context=multiprocessing.get_context("forkserver"),
+    initializer=_install_worker_traces, initargs=({},),
+)
+pool.submit(time.sleep, 3 * _PARENT_POLL_S).result()
+Path(sys.argv[1]).write_text(str(pool.submit(os.getpid).result()))
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to observe worker processes")
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the forkserver start method")
+def test_forkserver_pool_workers_serve_and_exit_with_the_sweep(tmp_path):
+    import repro
+
+    pid_file = tmp_path / "worker.pid"
+    env = dict(os.environ)
+    package_root = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = package_root + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _FORKSERVER_POOL, str(pid_file)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    worker = None
+    try:
+        deadline = time.monotonic() + 60.0
+        while not pid_file.exists() or not pid_file.read_text():
+            assert child.poll() is None, "the forkserver pool broke"
+            assert time.monotonic() < deadline, "the worker never answered"
+            time.sleep(0.05)
+        worker = int(pid_file.read_text())
+        assert _running(worker)
+        os.kill(child.pid, signal.SIGKILL)
+        child.wait(timeout=10)
+
+        deadline = time.monotonic() + 5.0
+        while _running(worker):
+            assert time.monotonic() < deadline, (
+                f"orphaned forkserver worker {worker} outlived the sweep"
+            )
+            time.sleep(0.1)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        if worker is not None:
+            try:
+                os.kill(worker, signal.SIGKILL)
             except ProcessLookupError:
                 pass
 

@@ -27,7 +27,7 @@ from repro.resilience import (
     classify_failure,
 )
 from repro.resilience.chaos import plan_chaos, run_chaos
-from repro.resilience.durability import RunJournal
+from repro.resilience.durability import RunJournal, ShutdownCoordinator
 from repro.resilience.report import (
     OUTCOME_POISONED,
     OUTCOME_RECOVERED,
@@ -443,6 +443,57 @@ class TestOneExecutionPath:
             ("MemoryBudgetError", "poison") if retry is None
             else ("MemoryBudgetError", "transient")
         )
+
+    def test_lone_retried_cell_runs_in_the_pool(self, four_traces, monkeypatch):
+        """A rerun whose only pending cell kills workers still completes."""
+        _cell_faults({("t0", "lru"): _kill_worker}, monkeypatch)
+        outcome = SweepEngine(jobs=2).run(
+            {"t0": four_traces["t0"]}, ["lru"], config=tiny_config(),
+            isolate_failures=True,
+            retry=RetryPolicy(max_attempts=3, poison_strikes=2, **FAST_RETRY),
+        )
+        error = outcome.errors[("t0", "lru")]
+        assert (error.error_type, error.classification) == (
+            "BrokenProcessPool", "poison"
+        )
+        history = outcome.failure_report.cells[("t0", "lru")]
+        assert history.outcome == OUTCOME_POISONED
+        assert len(history.attempts) == 2
+
+
+class TestResilientExecutorPool:
+    def test_no_submit_after_shutdown_request(self, monkeypatch):
+        """A shutdown requested while cells run stops all refills."""
+        import repro.resilience.executor as executor_module
+
+        shutdown = ShutdownCoordinator()
+        real_wait = executor_module.wait
+
+        def wait_then_request(*args, **kwargs):
+            done = real_wait(*args, **kwargs)
+            shutdown.request("SIGTERM")
+            return done
+
+        monkeypatch.setattr(executor_module, "wait", wait_then_request)
+        submitted = []
+
+        def submit(pool, workload, policy, attempt):
+            assert not shutdown.requested, f"{workload} submitted after shutdown"
+            submitted.append(workload)
+            return pool.submit(abs, -1)
+
+        executor = ResilientExecutor(
+            retry=RetryPolicy(max_attempts=1),
+            workers=2,
+            submit=submit,
+            run_inline=lambda *a: pytest.fail("pool path must not run inline"),
+            on_success=lambda w, p, r: None,
+            on_failure=lambda *a: pytest.fail("no cell fails"),
+            report=FailureReport(),
+            shutdown=shutdown,
+        )
+        executor.run_pool([(f"w{i}", "p") for i in range(6)])
+        assert submitted == ["w0", "w1"]
 
 
 class TestCacheIntegrity:

@@ -138,7 +138,17 @@ class InvariantSanitizer:
                 "on_eviction never fired"
             )
 
-    def check_set(self, set_index: int, tags: list[int], dirty: list[bool]) -> None:
+    def check_set(self, set_index: int) -> None:
+        """Check one set of the bound cache, read from its flat arrays."""
+        cache = self._cache
+        assert cache is not None
+        base = set_index * cache.num_ways
+        end = base + cache.num_ways
+        self.check_row(set_index, cache._tags[base:end], cache._dirty[base:end])
+
+    def check_row(
+        self, set_index: int, tags: list[int], dirty: bytes | bytearray
+    ) -> None:
         """Occupancy bound, tag uniqueness and dirty => valid for one set."""
         self.checks += 1
         cache = self._cache

@@ -29,11 +29,11 @@ warmup) combination and bakes out, per record:
   pop flag and the load flag,
 
 plus flat arrays of the LLC-visible events. :meth:`BatchPlan.replay`
-then drives one cell: the LLC tag/dirty rows and DRAM bank timing with
-the generic cache/memory bookkeeping inlined around the *real*
-policy-hook calls (``on_hit``/``find_victim``/``on_eviction``/
+then drives one cell: the LLC's flat tag/dirty arrays and DRAM bank
+timing with the generic cache/memory bookkeeping inlined around the
+*real* policy-hook calls (``on_hit``/``find_victim``/``on_eviction``/
 ``on_fill`` — the per-cell variable is the policy, so its code runs
-unmodified on the live tag rows), plus a ring buffer of load-completion
+unmodified on the live cache state), plus a ring buffer of load-completion
 cycles that replays :meth:`~repro.core.cpu.CoreModel.step`'s float
 arithmetic in the identical order. Everything the upper levels
 contribute to the result — level statistics, ``l1d_misses``, served-by
@@ -114,6 +114,7 @@ from ..policies.rrip import (
     SRRIPPolicy,
 )
 from ..policies.ship import SHCT_MAX, SHCT_SIZE, SIGNATURE_BITS, SHiPPolicy
+from .fastpath import _FastLevel
 from .hierarchy import ServiceLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -123,7 +124,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..policies.base import ReplacementPolicy
     from ..telemetry.collector import TelemetryCollector, TelemetryConfig
     from ..trace.trace import Trace
-    from .cache import Cache
     from .hierarchy import CacheHierarchy
 
     #: (on_hit, on_fill, on_eviction, find_victim, check_in) closure set.
@@ -148,100 +148,6 @@ _EV_SHIFT = 20
 _EXACT_CYCLE_BOUND = 1 << 50
 
 
-class _PlanLevel:
-    """Flattened checkout of one always-LRU upper level.
-
-    Mirrors ``_FastLevel`` from :mod:`repro.mem.fastpath`, but checked
-    out of a scratch hierarchy the plan owns: after the scan its state is
-    frozen and :meth:`publish_into` copies counters plus final
-    tag/dirty/stamp state into every cell's hierarchy.
-    """
-
-    __slots__ = (
-        "num_ways", "num_sets", "set_mask", "hit_latency",
-        "tags", "dirty", "stamps", "index", "occupancy",
-        "demand_accesses", "demand_hits", "writeback_accesses",
-        "writeback_hits", "evictions", "dirty_evictions", "per_kind_misses",
-        "_final_rows",
-    )
-
-    def __init__(self, cache: Cache) -> None:
-        policy = cache.policy
-        if type(policy) is not LRUPolicy:
-            raise TypeError(
-                f"{cache.name}: batch plan requires exact LRU, got {policy.name}"
-            )
-        self.num_ways = cache.num_ways
-        self.num_sets = cache.num_sets
-        self.set_mask = cache._set_mask
-        self.hit_latency = cache.hit_latency
-        self.tags: list[int] = [t for row in cache._tags for t in row]
-        self.dirty = bytearray(
-            1 if d else 0 for row in cache._dirty for d in row
-        )
-        self.stamps: list[int] = [s for row in policy._stamp for s in row]
-        self.index: dict[int, int] = {
-            tag: i for i, tag in enumerate(self.tags) if tag != -1
-        }
-        self.occupancy: list[int] = [
-            sum(1 for t in row if t != -1) for row in cache._tags
-        ]
-        self.demand_accesses = 0
-        self.demand_hits = 0
-        self.writeback_accesses = 0
-        self.writeback_hits = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.per_kind_misses: dict[int, int] = {}
-        # Final state re-nested into rows, built lazily on the first
-        # publish (the plan is frozen by then) and row-copied into each
-        # cell so cells never alias the plan or each other.
-        self._final_rows: tuple[
-            list[list[int]], list[list[bool]], list[list[int]]
-        ] | None = None
-
-    def reset_counters(self) -> None:
-        """Mirror of the driver's warm-up statistics reset."""
-        self.demand_accesses = 0
-        self.demand_hits = 0
-        self.writeback_accesses = 0
-        self.writeback_hits = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.per_kind_misses = {}
-
-    def publish_into(self, cache: Cache, clock: int) -> None:
-        """Copy measured counters and final state into a cell's cache."""
-        stats = cache.stats
-        stats.demand_accesses = self.demand_accesses
-        stats.demand_hits = self.demand_hits
-        stats.writeback_accesses = self.writeback_accesses
-        stats.writeback_hits = self.writeback_hits
-        stats.evictions = self.evictions
-        stats.dirty_evictions = self.dirty_evictions
-        stats.per_kind_misses = dict(self.per_kind_misses)
-        if self._final_rows is None:
-            ways = self.num_ways
-            sets = self.num_sets
-            tags = self.tags
-            dirty = self.dirty
-            stamps = self.stamps
-            self._final_rows = (
-                [tags[s * ways:(s + 1) * ways] for s in range(sets)],
-                [
-                    [b != 0 for b in dirty[s * ways:(s + 1) * ways]]
-                    for s in range(sets)
-                ],
-                [stamps[s * ways:(s + 1) * ways] for s in range(sets)],
-            )
-        tag_rows, dirty_rows, stamp_rows = self._final_rows
-        cache._tags = [row[:] for row in tag_rows]
-        cache._dirty = [row[:] for row in dirty_rows]
-        policy = cache.policy
-        policy._stamp = [row[:] for row in stamp_rows]
-        policy._clock = clock
-
-
 class _PlanMachine:
     """Upper-level machine that records LLC-visible events.
 
@@ -258,9 +164,9 @@ class _PlanMachine:
     )
 
     def __init__(self, hierarchy: CacheHierarchy) -> None:
-        self.l1i = _PlanLevel(hierarchy.l1i)
-        self.l1d = _PlanLevel(hierarchy.l1d)
-        self.l2 = _PlanLevel(hierarchy.l2)
+        self.l1i = _FastLevel(hierarchy.l1i)
+        self.l1d = _FastLevel(hierarchy.l1d)
+        self.l2 = _FastLevel(hierarchy.l2)
         # One machine-wide clock, seeded past every checked-out stamp —
         # the same relative-order argument as FastMachine.
         self.clock = max(
@@ -289,7 +195,7 @@ class _PlanMachine:
 
     # -- fill / writeback cascade (same transitions as FastMachine) -----------
 
-    def _fill(self, lvl: _PlanLevel, block: int, kind: int) -> int:
+    def _fill(self, lvl: _FastLevel, block: int, kind: int) -> int:
         """Insert ``block``; returns the dirty victim block, or -1."""
         ways = lvl.num_ways
         set_index = block & lvl.set_mask
@@ -345,7 +251,7 @@ class _PlanMachine:
             self._emit_writeback(wb)
 
     def _miss(
-        self, l1: _PlanLevel, block: int, pc: int, kind: int, is_data: bool
+        self, l1: _FastLevel, block: int, pc: int, kind: int, is_data: bool
     ) -> int:
         """L1 demand miss: probe L2, emitting any LLC-bound events.
 
@@ -603,17 +509,19 @@ def _specialized_hooks(policy: Any) -> _PolicyHooks | None:
     """
     cls = type(policy)
     if cls is LRUPolicy:
-        stamps: list[list[int]] = policy._stamp
+        stamps: list[int] = policy._stamp
         clock: int = policy._clock
+        lru_ways: int = policy.num_ways
 
         def lru_touch(set_index: int, way: int, access: PolicyAccess) -> None:
             nonlocal clock
             clock += 1
-            stamps[set_index][way] = clock
+            stamps[set_index * lru_ways + way] = clock
 
         def lru_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            row = stamps[set_index]
-            return row.index(min(row))
+            base = set_index * lru_ways
+            end = base + lru_ways
+            return stamps.index(min(stamps[base:end]), base, end) - base
 
         def lru_check_in() -> None:
             policy._clock = clock
@@ -1185,23 +1093,27 @@ class BatchPlan:
         bbits = self.block_bits
         events = self.events
 
-        # LLC checkout: the policy hooks receive the same live row lists
-        # Cache.access/fill would hand them. Two derived structures make
-        # the per-event probes O(1): a block → way dict (a block lives
-        # in exactly one set, so keys are unique) replaces the
-        # `blk in tags` + `tags.index(blk)` scans, and per-set free-way
-        # counts turn the fill path's `-1 in tags` scan — a guaranteed
-        # full miss scan once the sets fill up — into one integer test.
-        # Free ways only disappear: evictions replace in place.
+        # LLC checkout: the replay works on the cache's own flat arrays
+        # (line = set_index * ways + way) and hands find_victim the same
+        # set snapshot Cache.fill would. Two derived structures make the
+        # per-event probes O(1): a block → way dict (a block lives in
+        # exactly one set, so keys are unique) replaces the way scans,
+        # and per-set free-way counts turn the fill path's invalid-way
+        # search — a guaranteed full miss scan once the sets fill up —
+        # into one integer test. Free ways only disappear: evictions
+        # replace in place. An empty LLC (a fresh cell's warm-up) needs no
+        # scan.
         llc_tags = llc._tags
         llc_dirty = llc._dirty
-        free_ways = [row.count(-1) for row in llc_tags]
-        resident: dict[int, int] = {
-            tag: way
-            for row in llc_tags
-            for way, tag in enumerate(row)
-            if tag != -1
-        }
+        ways = llc.num_ways
+        if llc_tags.count(-1) == len(llc_tags):
+            free_ways = [ways] * llc.num_sets
+            resident: dict[int, int] = {}
+        else:
+            free_ways = [ways - n for n in llc.set_occupancies()]
+            resident = {
+                tag: i % ways for i, tag in enumerate(llc_tags) if tag != -1
+            }
         resident_get = resident.get
         policy = llc.policy
         specialized = _specialized_hooks(policy)
@@ -1289,10 +1201,10 @@ class BatchPlan:
                                 s_dhits += 1
                                 on_hit(set_index, way, acc)
                                 if is_store:
-                                    llc_dirty[set_index][way] = True
+                                    llc_dirty[set_index * ways + way] = 1
                                 served_llc += 1
                             else:
-                                tags = llc_tags[set_index]
+                                first = set_index * ways
                                 s_dacc += 1
                                 s_pkm[kind] += 1
                                 # dram.read at the post-probe latency;
@@ -1322,26 +1234,30 @@ class BatchPlan:
                                 # writeback — the reference call order.
                                 if free_ways[set_index]:
                                     free_ways[set_index] -= 1
-                                    way = tags.index(-1)
-                                    tags[way] = blk
+                                    line = llc_tags.index(-1, first)
+                                    way = line - first
+                                    llc_tags[line] = blk
                                     resident[blk] = way
-                                    llc_dirty[set_index][way] = is_store
+                                    llc_dirty[line] = is_store
                                     on_fill(set_index, way, acc)
                                 else:
-                                    way = find_victim(set_index, acc, tags)
+                                    way = find_victim(
+                                        set_index, acc, llc_tags[first:first + ways]
+                                    )
                                     if way == BYPASS:
                                         s_bypass += 1
                                     else:
-                                        victim = tags[way]
-                                        vdirty = llc_dirty[set_index][way]
+                                        line = first + way
+                                        victim = llc_tags[line]
+                                        vdirty = llc_dirty[line]
                                         s_evict += 1
                                         if vdirty:
                                             s_devict += 1
                                         on_eviction(set_index, way, victim)
-                                        tags[way] = blk
+                                        llc_tags[line] = blk
                                         del resident[victim]
                                         resident[blk] = way
-                                        llc_dirty[set_index][way] = is_store
+                                        llc_dirty[line] = is_store
                                         on_fill(set_index, way, acc)
                                         if vdirty:
                                             row = (victim << bbits) // row_bytes
@@ -1369,36 +1285,40 @@ class BatchPlan:
                                 s_wbacc += 1
                                 s_wbhits += 1
                                 on_hit(set_index, way, acc)
-                                llc_dirty[set_index][way] = True
+                                llc_dirty[set_index * ways + way] = 1
                                 continue
-                            tags = llc_tags[set_index]
+                            first = set_index * ways
                             s_wbacc += 1
                             s_pkm[4] += 1
                             victim = -1
                             if free_ways[set_index]:
                                 free_ways[set_index] -= 1
-                                way = tags.index(-1)
-                                tags[way] = blk
+                                line = llc_tags.index(-1, first)
+                                way = line - first
+                                llc_tags[line] = blk
                                 resident[blk] = way
-                                llc_dirty[set_index][way] = True
+                                llc_dirty[line] = 1
                                 on_fill(set_index, way, acc)
                             else:
-                                way = find_victim(set_index, acc, tags)
+                                way = find_victim(
+                                    set_index, acc, llc_tags[first:first + ways]
+                                )
                                 if way == BYPASS:
                                     s_bypass += 1
                                     victim = blk  # bypassed WB goes to DRAM
                                 else:
-                                    cand = tags[way]
-                                    vdirty = llc_dirty[set_index][way]
+                                    line = first + way
+                                    cand = llc_tags[line]
+                                    vdirty = llc_dirty[line]
                                     s_evict += 1
                                     if vdirty:
                                         s_devict += 1
                                         victim = cand
                                     on_eviction(set_index, way, cand)
-                                    tags[way] = blk
+                                    llc_tags[line] = blk
                                     del resident[cand]
                                     resident[blk] = way
-                                    llc_dirty[set_index][way] = True
+                                    llc_dirty[line] = 1
                                     on_fill(set_index, way, acc)
                             if victim >= 0:
                                 row = (victim << bbits) // row_bytes

@@ -1,7 +1,7 @@
 """Set-associative cache model with pluggable replacement.
 
-One :class:`Cache` models one level: a tag array organized as
-``num_sets x num_ways``, write-back + write-allocate semantics, and a
+One :class:`Cache` models one level: flat tag and dirty arrays indexed
+``set * num_ways + way``, write-back + write-allocate semantics, and a
 :class:`~repro.policies.base.ReplacementPolicy` consulted through the
 ChampSim-style hooks. The cache itself is hierarchy-agnostic — miss
 handling, fills from below and writebacks to the next level are
@@ -9,6 +9,12 @@ orchestrated by :class:`repro.mem.hierarchy.CacheHierarchy`.
 
 Addresses are handled at block granularity throughout (the *block
 address* is the byte address shifted right by ``block_bits``).
+
+The flat layout is the one both optimized engines run on:
+:mod:`repro.mem.fastpath` and :mod:`repro.mem.batch` alias these arrays
+(and :class:`~repro.policies.basic.LRUPolicy`'s stamps, laid out the same
+way) instead of copying them, so setting up a cell costs time per cache
+level, not per cache line.
 """
 
 from __future__ import annotations
@@ -133,9 +139,10 @@ class Cache:
         self.block_bits = block_bits
         self.hit_latency = hit_latency
         self._set_mask = num_sets - 1
-        # Tag arrays: -1 marks an invalid way.
-        self._tags: list[list[int]] = [[-1] * num_ways for _ in range(num_sets)]
-        self._dirty: list[list[bool]] = [[False] * num_ways for _ in range(num_sets)]
+        # Flat tag/dirty arrays indexed set * num_ways + way; -1 marks an
+        # invalid way, dirty holds 0/1.
+        self._tags: list[int] = [-1] * (num_sets * num_ways)
+        self._dirty = bytearray(num_sets * num_ways)
         self.policy = policy
         policy.initialize(num_sets, num_ways)
         self.stats = CacheStats()
@@ -163,20 +170,26 @@ class Cache:
 
     def contains(self, block: int) -> bool:
         """Whether the block is currently resident."""
-        return block in self._tags[block & self._set_mask]
+        base = (block & self._set_mask) * self.num_ways
+        return block in self._tags[base:base + self.num_ways]
 
     def resident_blocks(self) -> list[int]:
         """All valid resident block addresses (test/debug helper)."""
-        return [t for row in self._tags for t in row if t != -1]
+        return [t for t in self._tags if t != -1]
 
     @property
     def occupancy(self) -> int:
         """Number of valid lines."""
-        return sum(1 for row in self._tags for t in row if t != -1)
+        return len(self._tags) - self._tags.count(-1)
 
     def set_occupancies(self) -> list[int]:
         """Valid-line count per set, in set order (telemetry/debug)."""
-        return [sum(1 for t in row if t != -1) for row in self._tags]
+        tags = self._tags
+        ways = self.num_ways
+        return [
+            ways - tags[base:base + ways].count(-1)
+            for base in range(0, len(tags), ways)
+        ]
 
     # -- the access path ----------------------------------------------------------
 
@@ -199,10 +212,11 @@ class Cache:
 
     def lookup(self, block: int) -> int:  # hot
         """Way index of the block in its set, or -1 if absent (no stats)."""
-        tags = self._tags[block & self._set_mask]
-        for way in range(self.num_ways):
-            if tags[way] == block:
-                return way
+        ways = self.num_ways
+        base = (block & self._set_mask) * ways
+        tags = self._tags
+        if block in tags[base:base + ways]:
+            return tags.index(block, base) - base
         return -1
 
     def access(self, block: int, pc: int, kind: int) -> AccessResult:  # hot
@@ -212,22 +226,20 @@ class Cache:
         from below and then calls :meth:`fill`. Returns whether it hit.
         """
         set_index = block & self._set_mask
-        tags = self._tags[set_index]
-        way = -1
-        for w in range(self.num_ways):
-            if tags[w] == block:
-                way = w
-                break
-        hit = way >= 0
+        ways = self.num_ways
+        base = set_index * ways
+        tags = self._tags
+        hit = block in tags[base:base + ways]
         self._count(kind, hit)
         if self._telemetry is not None:
             self._telemetry.on_access(block, kind, hit)
         if hit:
-            self.policy.on_hit(set_index, way, PolicyAccess(block, pc, kind))
+            idx = tags.index(block, base)
+            self.policy.on_hit(set_index, idx - base, PolicyAccess(block, pc, kind))
             if kind == AccessKind.STORE or kind == AccessKind.WRITEBACK:
-                self._dirty[set_index][way] = True
+                self._dirty[idx] = 1
             if self._sanitizer is not None:
-                self._sanitizer.check_set(set_index, tags, self._dirty[set_index])
+                self._sanitizer.check_set(set_index)
             return AccessResult(hit=True)
         return AccessResult(hit=False)
 
@@ -240,25 +252,24 @@ class Cache:
         dirty data downward.
         """
         set_index = block & self._set_mask
-        tags = self._tags[set_index]
+        base = set_index * self.num_ways
+        tags = self._tags
+        row = tags[base:base + self.num_ways]
         access = PolicyAccess(block, pc, kind)
         sanitizer = self._sanitizer
-        way = -1
-        for w in range(self.num_ways):
-            if tags[w] == -1:
-                way = w
-                break
         victim_block: int | None = None
         victim_dirty = False
-        if way < 0:
-            way = self.policy.find_victim(set_index, access, tags)
+        if -1 in row:
+            way = row.index(-1)
+        else:
+            way = self.policy.find_victim(set_index, access, row)
             if sanitizer is not None:
-                sanitizer.check_victim(set_index, way, tags)
+                sanitizer.check_victim(set_index, way, row)
             if way == BYPASS:
                 self.stats.bypasses += 1
                 return AccessResult(hit=False, bypassed=True)
-            victim_block = tags[way]
-            victim_dirty = self._dirty[set_index][way]
+            victim_block = row[way]
+            victim_dirty = self._dirty[base + way] == 1
             self.stats.evictions += 1
             if victim_dirty:
                 self.stats.dirty_evictions += 1
@@ -269,11 +280,11 @@ class Cache:
             self.policy.on_eviction(set_index, way, victim_block)
             if sanitizer is not None:
                 sanitizer.assert_notified(set_index)
-        tags[way] = block
-        self._dirty[set_index][way] = kind in (AccessKind.STORE, AccessKind.WRITEBACK)
+        tags[base + way] = block
+        self._dirty[base + way] = kind in (AccessKind.STORE, AccessKind.WRITEBACK)
         self.policy.on_fill(set_index, way, access)
         if sanitizer is not None:
-            sanitizer.check_set(set_index, tags, self._dirty[set_index])
+            sanitizer.check_set(set_index)
         return AccessResult(
             hit=False, victim_block=victim_block, victim_dirty=victim_dirty
         )
@@ -285,27 +296,24 @@ class Cache:
         re-synthesizes warm content at an interval boundary: the tag and
         dirty arrays are cleared so subsequent :meth:`fill` calls land in
         invalid ways, while the policy object (and any global predictor
-        state it carries) survives untouched.
+        state it carries) survives untouched. Both arrays are cleared in
+        place, so engines aliasing them see the reset.
         """
-        invalid = [-1] * self.num_ways
-        clean = [False] * self.num_ways
-        for row in self._tags:
-            row[:] = invalid
-        for drow in self._dirty:
-            drow[:] = clean
+        self._tags[:] = [-1] * len(self._tags)
+        self._dirty[:] = bytes(len(self._dirty))
 
     def invalidate(self, block: int) -> bool:
         """Drop a block if resident (returns whether it was)."""
         set_index = block & self._set_mask
-        tags = self._tags[set_index]
-        for way in range(self.num_ways):
-            if tags[way] == block:
-                tags[way] = -1
-                self._dirty[set_index][way] = False
-                if self._sanitizer is not None:
-                    self._sanitizer.check_set(set_index, tags, self._dirty[set_index])
-                return True
-        return False
+        way = self.lookup(block)
+        if way < 0:
+            return False
+        idx = set_index * self.num_ways + way
+        self._tags[idx] = -1
+        self._dirty[idx] = 0
+        if self._sanitizer is not None:
+            self._sanitizer.check_set(set_index)
+        return True
 
     def __repr__(self) -> str:
         return (

@@ -5,21 +5,33 @@ The reference hot loop walks four virtual layers per record
 → ``core.step``), allocating a :class:`~repro.policies.base.PolicyAccess`
 per probe. For the paper's machine the L1I/L1D/L2 levels always run LRU,
 so none of that generality is needed above the LLC. :class:`FastMachine`
-checks those three levels out of their :class:`~repro.mem.cache.Cache`
-objects into flat arrays, runs a composed per-record driver, and checks
-the state back in afterwards — the LLC (the experiment variable) and the
-DRAM model stay the real objects, so arbitrary replacement policies,
-telemetry taps and bank timing behave exactly as in the reference engine.
+runs a composed per-record driver directly on those three levels' flat
+arrays, and the LLC (the experiment variable) and the DRAM model stay
+the real objects, so arbitrary replacement policies, telemetry taps and
+bank timing behave exactly as in the reference engine.
 
 Representation per fast level, indexed by ``set * num_ways + way``:
 
-* ``tags``: flat list of block addresses (-1 = invalid way);
-* ``dirty``: a ``bytearray`` of 0/1 flags;
-* ``stamps``: flat list of LRU timestamps;
+* ``tags``: the :class:`~repro.mem.cache.Cache`'s own ``_tags`` list of
+  block addresses (-1 = invalid way);
+* ``dirty``: the cache's ``_dirty`` ``bytearray`` of 0/1 flags;
+* ``stamps``: the :class:`~repro.policies.basic.LRUPolicy`'s ``_stamp``
+  list of timestamps;
 * ``index``: a ``{block: flat_index}`` dict over resident blocks — the
   O(1) membership probe that replaces the reference way scan (measured
   ~4x faster than ``list.index`` over an 8-way set, and it does not
-  degrade for the 16-way L2).
+  degrade for the 16-way L2);
+* ``occupancy``: valid lines per set.
+
+The first three are aliases, not copies, so checking a machine out costs
+time per level (plus one scan to build ``index`` and ``occupancy`` when
+the level holds a valid line), and :meth:`FastMachine.checkin` writes
+back only counters and the shared LRU clock. That rests on one rule:
+**while a machine is checked out, the upper levels change only through
+it** — a fill through ``Cache.fill`` would bypass ``index`` and
+``occupancy``, and its stamp would come from the policy's stale clock.
+Callers that rebuild content mid-run go through the machine
+(:meth:`_FastLevel.clear` and :meth:`FastMachine._fill`).
 
 Bit-identity with the reference engine rests on three invariants:
 
@@ -58,12 +70,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.cpu import CoreModel
     from ..telemetry.collector import TelemetryCollector
     from ..trace.trace import Trace
-    from .cache import Cache
+    from .cache import Cache, CacheStats
     from .hierarchy import CacheHierarchy
 
 
 class _FastLevel:
-    """Flattened checkout of one always-LRU :class:`Cache` level."""
+    """One always-LRU :class:`Cache` level, seen through its flat arrays.
+
+    Serves both optimized engines: :class:`FastMachine` runs a cell's
+    own upper levels through it, and the batched engine's plan runs a
+    scratch hierarchy's, then copies the outcome into every cell with
+    :meth:`publish_into`.
+    """
 
     __slots__ = (
         "cache", "policy", "num_ways", "set_mask", "hit_latency",
@@ -83,20 +101,19 @@ class _FastLevel:
         self.num_ways = cache.num_ways
         self.set_mask = cache._set_mask
         self.hit_latency = cache.hit_latency
-        self.tags: list[int] = [t for row in cache._tags for t in row]
-        self.dirty = bytearray(
-            1 if d else 0 for row in cache._dirty for d in row
-        )
-        self.stamps: list[int] = [s for row in policy._stamp for s in row]
-        self.index: dict[int, int] = {
-            tag: i for i, tag in enumerate(self.tags) if tag != -1
-        }
-        # Valid lines per set: lets _fill take the full-set (victim) path
+        self.tags = tags = cache._tags
+        self.dirty = cache._dirty
+        self.stamps = policy._stamp
+        # Valid lines per set let _fill take the full-set (victim) path
         # on an int compare instead of a raised ValueError, which is the
-        # steady state once the cache is warm.
-        self.occupancy: list[int] = [
-            sum(1 for t in row if t != -1) for row in cache._tags
-        ]
+        # steady state once the cache is warm. A level without a valid
+        # line (every fresh cell) skips the scan.
+        if tags.count(-1) == len(tags):
+            self.index: dict[int, int] = {}
+            self.occupancy = [0] * cache.num_sets
+        else:
+            self.index = {tag: i for i, tag in enumerate(tags) if tag != -1}
+            self.occupancy = cache.set_occupancies()
         stats = cache.stats
         self.demand_accesses = stats.demand_accesses
         self.demand_hits = stats.demand_hits
@@ -107,13 +124,12 @@ class _FastLevel:
         self.per_kind_misses: dict[int, int] = dict(stats.per_kind_misses)
 
     def clear(self) -> None:
-        """Drop every resident line (the flat ``Cache.reset_content``).
+        """Drop every resident line: ``Cache.reset_content`` plus the index.
 
         Stamps stay as they are: a way's stamp is read only while the
         way is valid, and the fill that makes it valid rewrites it.
         """
-        self.tags[:] = [-1] * len(self.tags)
-        self.dirty[:] = bytes(len(self.dirty))
+        self.cache.reset_content()
         self.index.clear()
         self.occupancy[:] = [0] * len(self.occupancy)
 
@@ -133,7 +149,23 @@ class _FastLevel:
 
     def publish(self) -> None:
         """Fold the flat counters back into the live ``cache.stats``."""
-        stats = self.cache.stats
+        self._store_counters(self.cache.stats)
+
+    def publish_into(self, cache: Cache, clock: int) -> None:
+        """Copy counters and final tag/dirty/stamp state into ``cache``.
+
+        The batched engine's plan runs its scratch hierarchy once and
+        publishes the outcome into every cell; the copies keep cells
+        from aliasing the plan or each other.
+        """
+        self._store_counters(cache.stats)
+        cache._tags[:] = self.tags
+        cache._dirty[:] = self.dirty
+        policy = cache.policy
+        policy._stamp[:] = self.stamps
+        policy._clock = clock
+
+    def _store_counters(self, stats: CacheStats) -> None:
         stats.demand_accesses = self.demand_accesses
         stats.demand_hits = self.demand_hits
         stats.writeback_accesses = self.writeback_accesses
@@ -142,23 +174,6 @@ class _FastLevel:
         stats.dirty_evictions = self.dirty_evictions
         stats.per_kind_misses = dict(self.per_kind_misses)
 
-    def restore_state(self, clock: int) -> None:
-        """Fold tags/dirty/stamps back into the Cache and its policy."""
-        cache = self.cache
-        ways = self.num_ways
-        sets = cache.num_sets
-        cache._tags = [
-            self.tags[s * ways:(s + 1) * ways] for s in range(sets)
-        ]
-        cache._dirty = [
-            [b != 0 for b in self.dirty[s * ways:(s + 1) * ways]]
-            for s in range(sets)
-        ]
-        self.policy._stamp = [
-            self.stamps[s * ways:(s + 1) * ways] for s in range(sets)
-        ]
-        self.policy._clock = clock
-
 
 class FastMachine:
     """The composed per-record driver over checked-out L1/L2 levels.
@@ -166,9 +181,8 @@ class FastMachine:
     Construct it once per :func:`~repro.core.simulator.simulate` call
     (the constructor checks the upper levels out of the hierarchy), call
     :meth:`run` / :meth:`run_with_telemetry` for the warm-up and measured
-    windows, and :meth:`checkin` at the end to fold all state back so
-    result snapshotting and later reference-engine use see an identical
-    machine.
+    windows, and :meth:`checkin` at the end so result snapshotting and
+    later reference-engine use see an identical machine.
     """
 
     __slots__ = (
@@ -226,11 +240,14 @@ class FastMachine:
         served[ServiceLevel.DRAM] = self.served_dram
 
     def checkin(self) -> None:
-        """Fold counters *and* tag/dirty/LRU state back into the hierarchy."""
+        """Fold counters and the machine-wide LRU clock into the hierarchy.
+
+        Tags, dirty bits and stamps are already there: the levels alias
+        them, and nothing else changed them while the machine was out.
+        """
         self.publish()
-        self.l1i.restore_state(self.clock)
-        self.l1d.restore_state(self.clock)
-        self.l2.restore_state(self.clock)
+        for lvl in (self.l1i, self.l1d, self.l2):
+            lvl.policy._clock = self.clock
 
     # -- fill / writeback cascade ---------------------------------------------
 

@@ -150,10 +150,10 @@ class CacheHierarchy:
         """
         dirty = False
         for cache in (self.l1i, self.l1d, self.l2):
-            set_index = cache.set_index(block)
             way = cache.lookup(block)
             if way >= 0:
-                dirty = dirty or cache._dirty[set_index][way]
+                flat = cache.set_index(block) * cache.num_ways + way
+                dirty = dirty or cache._dirty[flat] == 1
                 cache.invalidate(block)
         if dirty:
             self.dram.write(block << self.block_bits, cycle)

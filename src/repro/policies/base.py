@@ -81,8 +81,10 @@ class ReplacementPolicy(abc.ABC):
 
         ``tags`` holds the current block addresses per way (``-1`` marks an
         invalid way); the cache fills invalid ways itself, so this is only
-        called when the set is full. Returns a way index, or
-        :data:`BYPASS` if :attr:`supports_bypass`.
+        called when the set is full. It is a snapshot of the set, copied
+        out of the cache's flat tag array: a policy reads it and never
+        mutates it. Returns a way index, or :data:`BYPASS` if
+        :attr:`supports_bypass`.
         """
 
     @abc.abstractmethod

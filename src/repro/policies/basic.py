@@ -19,28 +19,28 @@ class LRUPolicy(ReplacementPolicy):
     Implemented with monotonic timestamps: each hit or fill stamps the
     line with a global counter, and the victim is the way with the oldest
     stamp. Exact LRU (not an approximation), matching ChampSim's ``lru``.
+    Stamps live in one flat list indexed ``set * num_ways + way``, the
+    layout of :class:`~repro.mem.cache.Cache`'s tag array, so the
+    optimized engines alias it directly.
     """
 
     name = "lru"
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._stamp = [[0] * num_ways for _ in range(num_sets)]
+        self._stamp = [0] * (num_sets * num_ways)
         self._clock = 0
 
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        stamps = self._stamp[set_index]
-        victim = 0
-        oldest = stamps[0]
-        for way in range(1, self.num_ways):
-            if stamps[way] < oldest:
-                oldest = stamps[way]
-                victim = way
-        return victim
+        # The first way holding the set's smallest stamp.
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        stamps = self._stamp
+        return stamps.index(min(stamps[base:end]), base, end) - base
 
     def _touch(self, set_index: int, way: int) -> None:
         self._clock += 1
-        self._stamp[set_index][way] = self._clock
+        self._stamp[set_index * self.num_ways + way] = self._clock
 
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._touch(set_index, way)
@@ -51,7 +51,7 @@ class LRUPolicy(ReplacementPolicy):
     def snapshot_state(self) -> dict[str, object]:
         # Clock minus the globally oldest stamp bounds how stale the
         # recency state is; it grows when some line is never touched.
-        oldest = min(min(row) for row in self._stamp)
+        oldest = min(self._stamp)
         return {"clock": self._clock, "oldest_stamp_age": self._clock - oldest}
 
 
@@ -66,14 +66,11 @@ class MRUPolicy(LRUPolicy):
     name = "mru"
 
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        stamps = self._stamp[set_index]
-        victim = 0
-        newest = stamps[0]
-        for way in range(1, self.num_ways):
-            if stamps[way] > newest:
-                newest = stamps[way]
-                victim = way
-        return victim
+        # The first way holding the set's largest stamp.
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        stamps = self._stamp
+        return stamps.index(max(stamps[base:end]), base, end) - base
 
 
 class FIFOPolicy(ReplacementPolicy):

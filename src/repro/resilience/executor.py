@@ -29,7 +29,9 @@ Submission is bounded to the worker count, so every in-flight future is
 actually running — deadlines measure real wall-clock execution, and a
 pool break never charges strikes to cells that were still queued.
 Freed slots are refilled before the finished cells' callbacks run, so
-workers do not idle while the caller stores results.
+workers do not idle while the caller stores results. A refill that
+finds the pool already broken puts its cell back at the head of the
+queue, also without a strike.
 
 Every absorbed failure lands in the shared
 :class:`~repro.resilience.report.FailureReport`.
@@ -263,7 +265,18 @@ class ResilientExecutor:
                         if self.pool_factory is not None
                         else ProcessPoolExecutor(max_workers=self.workers)
                     )
-                future = self.submit(pool, cell.workload, cell.policy, cell.attempt)
+                try:
+                    future = self.submit(pool, cell.workload, cell.policy, cell.attempt)
+                except BrokenProcessPool:
+                    # The pool broke since wait() returned. The cell never
+                    # ran, so it goes back first in line without a strike;
+                    # in-flight cells report the break through their
+                    # futures, and with none in flight the pool is
+                    # recycled here.
+                    queue.appendleft(cell)
+                    if not inflight:
+                        pool = self._recycle_pool(pool, inflight, queue, kill=False)
+                    return
                 started = time.monotonic()
                 deadline = float("inf") if timeout is None else started + timeout
                 inflight[future] = (cell, started, deadline)

@@ -166,8 +166,9 @@ def _refill_llc(
             way = filled[set_index]
             if way < ways:
                 filled[set_index] = way + 1
-                tags[set_index][way] = block
-                dirty[set_index][way] = kind in _DIRTY_KINDS
+                line = set_index * ways + way
+                tags[line] = block
+                dirty[line] = kind in _DIRTY_KINDS
                 on_fill(set_index, way, PolicyAccess(block, pc, kind))
             else:
                 cache.fill(block, pc, kind)

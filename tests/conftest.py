@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import CacheConfig, CoreConfig, MachineConfig, small_test_machine
 from repro.graphs.generators import cycle_graph, grid_graph, path_graph, uniform_random
 from repro.trace.record import AccessKind
 from repro.trace.trace import Trace
+
+#: ``pytest --hypothesis-profile nightly`` (the nightly workflow) runs the
+#: properties that take their example count from the active profile —
+#: the engine geometry net in test_engine_geometry.py — at twenty times
+#: tier-1's count. Tier-1 keeps Hypothesis's default profile.
+settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

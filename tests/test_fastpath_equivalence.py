@@ -169,11 +169,14 @@ class TestStateCheckin:
         # LRU stamp *values* differ (shared clock), but the recency order
         # inside every set — all that LRU behaviour depends on — matches.
         for name in ("L1I", "L1D", "L2C"):
+            ways = hf.caches[name].num_ways
             sf = hf.caches[name].policy._stamp
             sr = hr.caches[name].policy._stamp
-            for row_f, row_r in zip(sf, sr):
-                order_f = sorted(range(len(row_f)), key=row_f.__getitem__)
-                order_r = sorted(range(len(row_r)), key=row_r.__getitem__)
+            for base in range(0, len(sf), ways):
+                row_f = sf[base:base + ways]
+                row_r = sr[base:base + ways]
+                order_f = sorted(range(ways), key=row_f.__getitem__)
+                order_r = sorted(range(ways), key=row_r.__getitem__)
                 assert order_f == order_r, name
 
     def test_rerun_on_checked_in_state_stays_identical(self, small_machine, zipf):
@@ -197,12 +200,14 @@ class TestStateCheckin:
         simulate(zipf, config=small_machine, hierarchy=h, engine="reference")
         fast = FastMachine(h)
         for lvl, cache in ((fast.l1d, h.l1d), (fast.l2, h.l2)):
-            assert lvl.tags == [t for row in cache._tags for t in row]
+            ways = cache.num_ways
+            assert lvl.tags == cache._tags
             assert lvl.index == {
                 t: i for i, t in enumerate(lvl.tags) if t != -1
             }
             assert lvl.occupancy == [
-                sum(1 for t in row if t != -1) for row in cache._tags
+                sum(1 for t in cache._tags[base:base + ways] if t != -1)
+                for base in range(0, len(cache._tags), ways)
             ]
 
 

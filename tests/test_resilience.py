@@ -2,9 +2,11 @@
 resilient execution (timeouts, BrokenProcessPool recovery, poison),
 cache integrity/quarantine, and the chaos harness end-to-end."""
 
+import itertools
 import json
 import multiprocessing
 import os
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -461,7 +463,67 @@ class TestOneExecutionPath:
         assert len(history.attempts) == 2
 
 
+def _pool_breaking_at(break_at: int, broken_on: list):
+    """An in-process stand-in for ``ProcessPoolExecutor`` whose pool
+    breaks on the ``break_at``-th submit, counted over every instance.
+
+    Submitted calls run at once, so their futures are done by the time
+    ``wait()`` sees them; a broken instance refuses every later submit,
+    as a real pool does. ``broken_on`` receives the refused calls'
+    (workload, policy).
+    """
+    submits = itertools.count(1)
+
+    class BreakingPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            if initializer is not None:
+                initializer(*initargs)
+            self.broken = False
+
+        def submit(self, fn, *args, **kwargs):
+            if self.broken or next(submits) == break_at:
+                self.broken = True
+                broken_on.append(tuple(args[:2]))
+                raise BrokenProcessPool("a worker died after wait() returned")
+            future = Future()
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except Exception as exc:  # handed to the caller through the future
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    return BreakingPool
+
+
 class TestResilientExecutorPool:
+    @pytest.mark.parametrize("break_at", [2, 3], ids=["first-fill", "refill"])
+    def test_submit_into_broken_pool_requeues_the_cell(
+            self, traces, monkeypatch, break_at):
+        """A pool that breaks between wait() and the refill costs one
+        rebuild, and the refused cell reruns with no failed attempt."""
+        import repro.harness.engine as engine_module
+
+        policies = ["lru", "srrip", "drrip"]
+        serial = SweepEngine(jobs=1).run(traces, policies, config=tiny_config())
+        broken_on: list = []
+        monkeypatch.setattr(engine_module, "_WORKER_TRACES", {})
+        monkeypatch.setattr(
+            engine_module, "ProcessPoolExecutor",
+            _pool_breaking_at(break_at, broken_on),
+        )
+        outcome = SweepEngine(jobs=2).run(
+            traces, policies, config=tiny_config(), isolate_failures=True,
+        )
+        assert broken_on, "the fake pool never broke"
+        assert not outcome.errors
+        assert outcome.matrix.results == serial.matrix.results
+        report = outcome.failure_report
+        assert not report.cells, "the refused cell must have no failed attempt"
+        assert report.pool_rebuilds == 1
+
     def test_no_submit_after_shutdown_request(self, monkeypatch):
         """A shutdown requested while cells run stops all refills."""
         import repro.resilience.executor as executor_module

@@ -130,23 +130,23 @@ class TestSetChecks:
     def test_duplicate_tags_raise(self):
         cache = sanitized_cache(LRUPolicy())
         cache.fill(0, 0x400, LOAD)
-        cache._tags[0][1] = 0  # corrupt: block 0 now in two ways
+        cache._tags[1] = 0  # corrupt: block 0 now in two ways of set 0
         with pytest.raises(SanitizerError, match="duplicate tag"):
             cache.access(0, 0x400, LOAD)
 
     def test_dirty_invalid_way_raises(self):
         cache = sanitized_cache(LRUPolicy())
         cache.fill(0, 0x400, STORE)
-        cache._tags[0][0] = -1  # corrupt: dirty data with no tag
+        cache._tags[0] = -1  # corrupt: dirty data with no tag
         with pytest.raises(SanitizerError, match="dirty but invalid"):
-            cache._sanitizer.check_set(0, cache._tags[0], cache._dirty[0])
+            cache._sanitizer.check_set(0)
 
     def test_geometry_violation_raises(self):
         cache = sanitized_cache(LRUPolicy())
         cache.fill(0, 0x400, LOAD)
-        cache._tags[0].append(99)  # set wider than its geometry
+        row = cache._tags[: cache.num_ways] + [99]  # set wider than its geometry
         with pytest.raises(SanitizerError, match="geometry says"):
-            cache.access(0, 0x400, LOAD)  # hit path re-checks the set
+            cache._sanitizer.check_row(0, row, cache._dirty[: cache.num_ways])
 
 
 class TestHierarchySanitizer:

@@ -828,7 +828,8 @@ def _simulate_group(
     failing the whole group.
     """
     from ..core.simulator import build_hierarchy
-    from ..mem.batch import BatchSimulator, batch_eligible
+    from ..mem.batch import BatchSimulator
+    from ..mem.fastpath import fastpath_eligible
 
     sim: BatchSimulator | None = None
     plan_failed = False
@@ -836,7 +837,7 @@ def _simulate_group(
     for policy in policies:
         try:
             hierarchy = build_hierarchy(config, policy)
-            if plan_failed or not batch_eligible(hierarchy, trace):
+            if plan_failed or not fastpath_eligible(hierarchy, trace):
                 outcomes.append((policy, False, None))
                 continue
             if sim is None:

@@ -183,13 +183,7 @@ def verify_fastpath(
         telemetry_modes = (None, TelemetryConfig(interval_instructions=5_000))
 
     if engine == "batched":
-        from ..mem.batch import batch_eligible, simulate_batched
-
-        def eligible(policy: str) -> bool:
-            return batch_eligible(build_hierarchy(config, policy), trace)
-    else:
-        def eligible(policy: str) -> bool:
-            return fastpath_eligible(build_hierarchy(config, policy), trace)
+        from ..mem.batch import simulate_batched
 
     cases = []
     for workload, trace in traces.items():
@@ -240,7 +234,9 @@ def verify_fastpath(
                         policy=policy,
                         telemetry=tele is not None,
                         warmup_fraction=warmup,
-                        fast_used=eligible(policy),
+                        fast_used=fastpath_eligible(
+                            build_hierarchy(config, policy), trace
+                        ),
                         matched=matched,
                         mismatched_fields=mismatched,
                     )

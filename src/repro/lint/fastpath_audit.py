@@ -7,11 +7,9 @@ numbers served at 2-3x speed. The guards encode assumptions about the
 rest of the codebase; this pass re-derives those assumptions from the
 AST and fails when they drift:
 
-The same contract binds the batched multi-cell engine
-(``repro.mem.batch`` / ``batch_eligible()``): it shares one decoded
-access stream across every policy of a trace, so an unguarded feature
-would corrupt a whole sweep row at once. Both engines are audited with
-identical obligations.
+The batched multi-cell engine (``repro.mem.batch``) runs the fast
+engine's machine and consults the same predicate, so auditing that one
+predicate covers both engines.
 
 1. **Feature knobs.** Every optional ``CacheHierarchy.__init__``
    parameter is a machine feature the fast path may not model; the
@@ -49,15 +47,9 @@ MODELED_KINDS = frozenset({"LOAD", "STORE", "IFETCH"})
 #: The hierarchy class whose optional features gate eligibility.
 HIERARCHY_CLASS = "CacheHierarchy"
 
-#: The eligibility predicate's required name (single-run fast engine).
+#: The audited engine module and its eligibility predicate's required name.
+ENGINE_MODULE = "fastpath.py"
 ELIGIBILITY_FUNCTION = "fastpath_eligible"
-
-#: Audited engines: (module filename, required eligibility predicate).
-#: Every entry carries the full guard-obligation set below.
-AUDITED_ENGINES = (
-    ("fastpath.py", ELIGIBILITY_FUNCTION),
-    ("batch.py", "batch_eligible"),
-)
 
 
 def _find_module(ctx: LintContext, filename: str) -> ModuleInfo | None:
@@ -188,24 +180,23 @@ class FastpathEligibilityRule(Rule):
     severity = Severity.ERROR
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for filename, predicate in AUDITED_ENGINES:
-            module = _find_module(ctx, filename)
-            if module is None:
-                continue
-            fn = _top_level_function(module, predicate)
-            if fn is None:
-                yield self.finding(
-                    module.path,
-                    1,
-                    f"engine module {filename} defines no top-level "
-                    f"{predicate}()",
-                    "every optimized engine must publish an eligibility "
-                    "predicate its callers consult before selecting it",
-                )
-                continue
-            yield from self._check_hierarchy_features(ctx, module, fn)
-            yield from self._check_policy_pinning(ctx, module, fn)
-            yield from self._check_kind_bound(ctx, module, fn)
+        module = _find_module(ctx, ENGINE_MODULE)
+        if module is None:
+            return
+        fn = _top_level_function(module, ELIGIBILITY_FUNCTION)
+        if fn is None:
+            yield self.finding(
+                module.path,
+                1,
+                f"engine module {ENGINE_MODULE} defines no top-level "
+                f"{ELIGIBILITY_FUNCTION}()",
+                "the optimized engines must publish an eligibility "
+                "predicate their callers consult before selecting them",
+            )
+            return
+        yield from self._check_hierarchy_features(ctx, module, fn)
+        yield from self._check_policy_pinning(ctx, module, fn)
+        yield from self._check_kind_bound(ctx, module, fn)
 
     # -- 1: hierarchy feature knobs -------------------------------------------
 

@@ -20,8 +20,12 @@ occupancy — integers derived from the gap stream — never on latencies.
 Only the *stall values* (completion cycle vs front-end cycle) differ per
 policy.
 
-:class:`BatchPlan` therefore scans the trace once per (trace, config,
-warmup) combination and bakes out, per record:
+:class:`BatchPlan` therefore runs :class:`~repro.mem.fastpath.FastMachine`
+over the trace once per (trace, config, warmup) combination, on a
+scratch hierarchy whose LLC is an event log (:class:`_LLCEventLog`):
+the machine's own miss, fill and writeback cascade emits the LLC-visible
+events in reference order. Only the core-schedule scan is plan code. The
+plan bakes out, per record:
 
 * ``gap / dispatch_width`` (the float the core adds every record),
 * the base latency (L1 hit, +L2 on L1 miss, +LLC on L2 miss),
@@ -57,17 +61,17 @@ plus the ones inherited from :mod:`repro.mem.fastpath` (victim-selection
 order under a shared monotonic clock, LLC call order, float operation
 order); ``repro verify-fastpath --engine batched`` proves it per policy.
 
-Eligibility (:func:`batch_eligible`) is exactly as conservative as
+Eligibility is the fast engine's own predicate,
 :func:`~repro.mem.fastpath.fastpath_eligible`: prefetching, inclusive
 mode, sanitizers, upper-level taps, non-LRU upper levels or trace
 records beyond IFETCH all fall back to the per-cell engines. An LLC
-telemetry tap is allowed — tapped replays route LLC events through the
-regular :class:`~repro.mem.cache.Cache` methods (:meth:`_replay_tapped`)
-so the tap observes every access and eviction.
+telemetry tap is allowed: the replay calls its ``on_access`` and
+``on_eviction`` where :class:`~repro.mem.cache.Cache` would.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate
 from typing import TYPE_CHECKING, Any
 
@@ -114,7 +118,8 @@ from ..policies.rrip import (
     SRRIPPolicy,
 )
 from ..policies.ship import SHCT_MAX, SHCT_SIZE, SIGNATURE_BITS, SHiPPolicy
-from .fastpath import _FastLevel
+from .cache import AccessResult
+from .fastpath import FastMachine, fastpath_eligible
 from .hierarchy import ServiceLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,6 +129,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..policies.base import ReplacementPolicy
     from ..telemetry.collector import TelemetryCollector, TelemetryConfig
     from ..trace.trace import Trace
+    from .cache import Cache
     from .hierarchy import CacheHierarchy
 
     #: (on_hit, on_fill, on_eviction, find_victim, check_in) closure set.
@@ -148,319 +154,242 @@ _EV_SHIFT = 20
 _EXACT_CYCLE_BOUND = 1 << 50
 
 
-class _PlanMachine:
-    """Upper-level machine that records LLC-visible events.
+#: What the plan's LLC answers to every probe.
+_PLAN_HIT = AccessResult(hit=True)
 
-    Runs the L1I/L1D/L2 transitions of :class:`FastMachine` with the
-    same shared monotonic clock, but instead of probing the LLC it
-    appends (demand | writeback) events to flat lists for the per-cell
-    replay to consume.
+
+class _LLCEventLog:
+    """The plan machine's LLC: logs every probe and answers each a hit.
+
+    Swapped into the plan's :class:`FastMachine` in place of the real
+    LLC, the same kind of swap sampling makes with its silent DRAM. The
+    machine's miss path probes the LLC once per demand that leaves the
+    L2 and once per L2 victim writeback, in reference order, so the log
+    is exactly the event stream every cell replays against its own LLC.
+    A hit keeps the machine from filling the LLC or reading DRAM, which
+    is per-cell work, and adds the LLC hit latency that the replay's hit
+    and miss paths both charge. The log holds plain ints: an object per
+    probe would keep the garbage collector scanning a growing heap for
+    the whole pass.
     """
 
-    __slots__ = (
-        "l1i", "l1d", "l2", "clock", "block_bits", "llc_hit_latency",
-        "l1d_misses", "served_l1", "served_l2",
-        "ev_demand", "ev_block", "ev_pc", "ev_kind", "ev_isdata",
-    )
+    __slots__ = ("hit_latency", "blocks", "pcs", "kinds")
 
-    def __init__(self, hierarchy: CacheHierarchy) -> None:
-        self.l1i = _FastLevel(hierarchy.l1i)
-        self.l1d = _FastLevel(hierarchy.l1d)
-        self.l2 = _FastLevel(hierarchy.l2)
-        # One machine-wide clock, seeded past every checked-out stamp —
-        # the same relative-order argument as FastMachine.
-        self.clock = max(
-            hierarchy.l1i.policy._clock,
-            hierarchy.l1d.policy._clock,
-            hierarchy.l2.policy._clock,
-        )
-        self.block_bits = hierarchy.block_bits
-        self.llc_hit_latency = hierarchy.llc.hit_latency
-        self.l1d_misses = 0
-        self.served_l1 = 0
-        self.served_l2 = 0
-        self.ev_demand: list[int] = []
-        self.ev_block: list[int] = []
-        self.ev_pc: list[int] = []
-        self.ev_kind: list[int] = []
-        self.ev_isdata: list[int] = []
+    def __init__(self, hit_latency: int) -> None:
+        self.hit_latency = hit_latency
+        self.blocks: list[int] = []
+        self.pcs: list[int] = []
+        self.kinds: list[int] = []
 
-    def reset_counters(self) -> None:
-        self.l1i.reset_counters()
-        self.l1d.reset_counters()
-        self.l2.reset_counters()
-        self.l1d_misses = 0
-        self.served_l1 = 0
-        self.served_l2 = 0
+    def access(self, block: int, pc: int, kind: int) -> AccessResult:
+        self.blocks.append(block)
+        self.pcs.append(pc)
+        self.kinds.append(kind)
+        return _PLAN_HIT
 
-    # -- fill / writeback cascade (same transitions as FastMachine) -----------
 
-    def _fill(self, lvl: _FastLevel, block: int, kind: int) -> int:
-        """Insert ``block``; returns the dirty victim block, or -1."""
-        ways = lvl.num_ways
-        set_index = block & lvl.set_mask
-        base = set_index * ways
-        tags = lvl.tags
-        occupancy = lvl.occupancy
-        victim = -1
-        victim_dirty = 0
-        if occupancy[set_index] < ways:
-            idx = tags.index(-1, base, base + ways)
-            occupancy[set_index] += 1
-        else:
-            end = base + ways
-            stamps = lvl.stamps
-            idx = stamps.index(min(stamps[base:end]), base, end)
-            victim = tags[idx]
-            victim_dirty = lvl.dirty[idx]
-            lvl.evictions += 1
-            if victim_dirty:
-                lvl.dirty_evictions += 1
-            del lvl.index[victim]
-        tags[idx] = block
-        lvl.index[block] = idx
-        lvl.dirty[idx] = 1 if kind == 1 or kind == 4 else 0  # STORE/WRITEBACK
-        clock = self.clock + 1
-        self.clock = clock
-        lvl.stamps[idx] = clock
-        return victim if victim_dirty else -1
+def _scan(
+    machine: FastMachine,
+    log: _LLCEventLog,
+    trace: Trace,
+    start: int,
+    stop: int,
+    core_cfg: CoreConfig,
+    gws: list[float],
+    lats: list[int],
+    codes: list[int],
+    prefixes: list[tuple[int, int, int, int, int, int]] | None,
+) -> tuple[int, int, int, int]:
+    """Stream records [start, stop): upper levels + core schedule.
 
-    def _emit_writeback(self, block: int) -> None:
-        """An L2 victim escapes to the LLC: record the writeback event."""
-        self.ev_demand.append(0)
-        self.ev_block.append(block)
-        self.ev_pc.append(0)
-        self.ev_kind.append(4)  # AccessKind.WRITEBACK
-        self.ev_isdata.append(0)
+    The L1 probe is :meth:`FastMachine.run`'s; an L1 miss goes through
+    the machine's own ``_miss``, whose LLC probes land in ``log`` (the
+    machine's LLC). Appends one (gap/width, base latency, opcode)
+    triple per record and returns ``(loads, base load latency,
+    instructions, loads still in flight)`` for the phase. The core
+    schedule — how many ROB entries retire at each record and whether a
+    load waits on an MSHR slot — is pure integer arithmetic on
+    instruction positions, so it is identical for every cell.
+    """
+    addrs = trace.addrs[start:stop].tolist()
+    pcs = trace.pcs[start:stop].tolist()
+    kinds = trace.kinds[start:stop].tolist()
+    gaps = trace.gaps[start:stop].tolist()
 
-    def _writeback_to_l2(self, block: int) -> None:
-        l2 = self.l2
-        l2.writeback_accesses += 1
-        idx = l2.index.get(block)
-        if idx is not None:
-            l2.writeback_hits += 1
-            clock = self.clock + 1
-            self.clock = clock
-            l2.stamps[idx] = clock
-            l2.dirty[idx] = 1
-            return
-        pkm = l2.per_kind_misses
-        pkm[4] = pkm.get(4, 0) + 1
-        wb = self._fill(l2, block, 4)
-        if wb >= 0:
-            self._emit_writeback(wb)
+    width = core_cfg.dispatch_width
+    rob = core_cfg.rob_size
+    mshrs = core_cfg.max_outstanding_misses
+    posq: deque[int] = deque()
+    pos_pop = posq.popleft
+    pos_push = posq.append
+    instr = 0
+    loads = 0
+    load_lat = 0
 
-    def _miss(
-        self, l1: _FastLevel, block: int, pc: int, kind: int, is_data: bool
-    ) -> int:
-        """L1 demand miss: probe L2, emitting any LLC-bound events.
+    l1d = machine.l1d
+    l1i = machine.l1i
+    l2 = machine.l2
+    d_get = l1d.index.get
+    i_get = l1i.index.get
+    d_stamps = l1d.stamps
+    i_stamps = l1i.stamps
+    d_dirty = l1d.dirty
+    d_lat = l1d.hit_latency
+    i_lat = l1i.hit_latency
+    d_pkm = l1d.per_kind_misses
+    i_pkm = l1i.per_kind_misses
+    d_acc = l1d.demand_accesses
+    d_hits = l1d.demand_hits
+    i_acc = l1i.demand_accesses
+    i_hits = l1i.demand_hits
+    served_l1 = machine.served_l1
+    l1d_misses = machine.l1d_misses
+    clock = machine.clock
+    bbits = machine.block_bits
+    miss = machine._miss
+    logged = log.blocks
+    n_ev = len(logged)
 
-        Event order per record matches FastMachine's LLC call order:
-        demand probe first, then the L2-fill victim writeback, then the
-        L1-fill → L2 cascade's victim writeback.
-        """
-        latency = l1.hit_latency
-        fill = self._fill
-        l2 = self.l2
-        l2.demand_accesses += 1
-        idx = l2.index.get(block)
-        if idx is not None:
-            l2.demand_hits += 1
-            clock = self.clock + 1
-            self.clock = clock
-            l2.stamps[idx] = clock
-            if kind == 1:
-                l2.dirty[idx] = 1
-            latency += l2.hit_latency
-            wb = fill(l1, block, kind)
-            if wb >= 0:
-                self._writeback_to_l2(wb)
-            self.served_l2 += 1
-            return latency
-        pkm = l2.per_kind_misses
-        pkm[kind] = pkm.get(kind, 0) + 1
+    gw_append = gws.append
+    lat_append = lats.append
+    code_append = codes.append
+    px_append = prefixes.append if prefixes is not None else None
 
-        # The demand escapes to the LLC. Both the hit and miss branches
-        # of the per-cell replay add llc.hit_latency, so it folds into
-        # the base latency here; DRAM latency is added per cell.
-        latency += l2.hit_latency
-        latency += self.llc_hit_latency
-        self.ev_demand.append(1)
-        self.ev_block.append(block)
-        self.ev_pc.append(pc)
-        self.ev_kind.append(kind)
-        self.ev_isdata.append(1 if is_data else 0)
-
-        wb = fill(l2, block, kind)
-        if wb >= 0:
-            self._emit_writeback(wb)
-        wb = fill(l1, block, kind)
-        if wb >= 0:
-            self._writeback_to_l2(wb)
-        return latency
-
-    # -- the scan --------------------------------------------------------------
-
-    def scan(
-        self,
-        trace: Trace,
-        start: int,
-        stop: int,
-        core_cfg: CoreConfig,
-        gws: list[float],
-        lats: list[int],
-        codes: list[int],
-        prefixes: list[tuple[int, int, int, int, int, int]] | None,
-    ) -> tuple[int, int, int, int]:
-        """Stream records [start, stop): upper levels + core schedule.
-
-        Appends one (gap/width, base latency, opcode) triple per record
-        and returns ``(loads, base load latency, instructions, loads
-        still in flight)`` for the phase. The core schedule — how many
-        ROB entries retire at each record and whether a load waits on an
-        MSHR slot — is pure integer arithmetic on instruction positions,
-        so it is identical for every cell.
-        """
-        from collections import deque
-
-        addrs = trace.addrs[start:stop].tolist()
-        pcs = trace.pcs[start:stop].tolist()
-        kinds = trace.kinds[start:stop].tolist()
-        gaps = trace.gaps[start:stop].tolist()
-
-        width = core_cfg.dispatch_width
-        rob = core_cfg.rob_size
-        mshrs = core_cfg.max_outstanding_misses
-        posq: deque[int] = deque()
-        pos_pop = posq.popleft
-        pos_push = posq.append
-        instr = 0
-        loads = 0
-        load_lat = 0
-
-        l1d = self.l1d
-        l1i = self.l1i
-        l2 = self.l2
-        d_get = l1d.index.get
-        i_get = l1i.index.get
-        d_stamps = l1d.stamps
-        i_stamps = l1i.stamps
-        d_dirty = l1d.dirty
-        d_lat = l1d.hit_latency
-        i_lat = l1i.hit_latency
-        d_pkm = l1d.per_kind_misses
-        i_pkm = l1i.per_kind_misses
-        d_acc = l1d.demand_accesses
-        d_hits = l1d.demand_hits
-        i_acc = l1i.demand_accesses
-        i_hits = l1i.demand_hits
-        served_l1 = self.served_l1
-        l1d_misses = self.l1d_misses
-        clock = self.clock
-        bbits = self.block_bits
-        miss = self._miss
-        ev_blocks = self.ev_block
-        n_ev = len(ev_blocks)
-
-        gw_append = gws.append
-        lat_append = lats.append
-        code_append = codes.append
-        px_append = prefixes.append if prefixes is not None else None
-
-        for addr, pc, kind, gap in zip(addrs, pcs, kinds, gaps):
-            block = addr >> bbits
-            if kind <= 1:  # LOAD / STORE → L1D
-                d_acc += 1
-                idx = d_get(block)
-                if idx is not None:
-                    d_hits += 1
-                    clock += 1
-                    d_stamps[idx] = clock
-                    if kind == 1:
-                        d_dirty[idx] = 1
-                    served_l1 += 1
-                    latency = d_lat
-                    ne = 0
-                else:
-                    d_pkm[kind] = d_pkm.get(kind, 0) + 1
-                    l1d_misses += 1
-                    self.clock = clock
-                    latency = miss(l1d, block, pc, kind, True)
-                    clock = self.clock
-                    new_ev = len(ev_blocks)
-                    ne = new_ev - n_ev
-                    n_ev = new_ev
-            else:  # IFETCH (eligibility guarantees kind == 2) → L1I
-                i_acc += 1
-                idx = i_get(block)
-                if idx is not None:
-                    i_hits += 1
-                    clock += 1
-                    i_stamps[idx] = clock
-                    served_l1 += 1
-                    latency = i_lat
-                    ne = 0
-                else:
-                    i_pkm[2] = i_pkm.get(2, 0) + 1
-                    self.clock = clock
-                    latency = miss(l1i, block, pc, 2, False)
-                    clock = self.clock
-                    new_ev = len(ev_blocks)
-                    ne = new_ev - n_ev
-                    n_ev = new_ev
-
-            # Core schedule: positions only; completion cycles are
-            # per-cell. Same pop conditions as CoreModel.step.
-            instr += gap
-            horizon = instr - rob
-            nrob = 0
-            while posq and posq[0] < horizon:
-                pos_pop()
-                nrob += 1
-            if kind != 1:  # LOAD or IFETCH occupy the window
-                if len(posq) >= mshrs:
-                    pos_pop()
-                    op = (ne << _EV_SHIFT) | (nrob << _ROB_SHIFT) | _OP_MSHR | _OP_LOAD
-                else:
-                    op = (ne << _EV_SHIFT) | (nrob << _ROB_SHIFT) | _OP_LOAD
-                loads += 1
-                load_lat += latency
-                pos_push(instr)
+    for addr, pc, kind, gap in zip(addrs, pcs, kinds, gaps):
+        block = addr >> bbits
+        if kind <= 1:  # LOAD / STORE → L1D
+            d_acc += 1
+            idx = d_get(block)
+            if idx is not None:
+                d_hits += 1
+                clock += 1
+                d_stamps[idx] = clock
+                if kind == 1:
+                    d_dirty[idx] = 1
+                served_l1 += 1
+                latency = d_lat
+                ne = 0
             else:
-                op = (ne << _EV_SHIFT) | (nrob << _ROB_SHIFT)
-            code_append(op)
-            gw_append(gap / width)
-            lat_append(latency)
-            if px_append is not None:
-                px_append(
-                    (d_acc, d_hits, i_acc, i_hits, l2.demand_accesses, l2.demand_hits)
-                )
+                d_pkm[kind] = d_pkm.get(kind, 0) + 1
+                l1d_misses += 1
+                machine.clock = clock
+                latency = miss(l1d, block, pc, kind, 0, True)
+                clock = machine.clock
+                new_ev = len(logged)
+                ne = new_ev - n_ev
+                n_ev = new_ev
+        else:  # IFETCH (eligibility guarantees kind == 2) → L1I
+            i_acc += 1
+            idx = i_get(block)
+            if idx is not None:
+                i_hits += 1
+                clock += 1
+                i_stamps[idx] = clock
+                served_l1 += 1
+                latency = i_lat
+                ne = 0
+            else:
+                i_pkm[2] = i_pkm.get(2, 0) + 1
+                machine.clock = clock
+                latency = miss(l1i, block, pc, 2, 0, False)
+                clock = machine.clock
+                new_ev = len(logged)
+                ne = new_ev - n_ev
+                n_ev = new_ev
 
-        self.clock = clock
-        l1d.demand_accesses = d_acc
-        l1d.demand_hits = d_hits
-        l1i.demand_accesses = i_acc
-        l1i.demand_hits = i_hits
-        self.served_l1 = served_l1
-        self.l1d_misses = l1d_misses
-        return loads, load_lat, instr, len(posq)
+        # Core schedule: positions only; completion cycles are
+        # per-cell. Same pop conditions as CoreModel.step.
+        instr += gap
+        horizon = instr - rob
+        nrob = 0
+        while posq and posq[0] < horizon:
+            pos_pop()
+            nrob += 1
+        if kind != 1:  # LOAD or IFETCH occupy the window
+            if len(posq) >= mshrs:
+                pos_pop()
+                op = (ne << _EV_SHIFT) | (nrob << _ROB_SHIFT) | _OP_MSHR | _OP_LOAD
+            else:
+                op = (ne << _EV_SHIFT) | (nrob << _ROB_SHIFT) | _OP_LOAD
+            loads += 1
+            load_lat += latency
+            pos_push(instr)
+        else:
+            op = (ne << _EV_SHIFT) | (nrob << _ROB_SHIFT)
+        code_append(op)
+        gw_append(gap / width)
+        lat_append(latency)
+        if px_append is not None:
+            px_append(
+                (d_acc, d_hits, i_acc, i_hits, l2.demand_accesses, l2.demand_hits)
+            )
+
+    machine.clock = clock
+    l1d.demand_accesses = d_acc
+    l1d.demand_hits = d_hits
+    l1i.demand_accesses = i_acc
+    l1i.demand_hits = i_hits
+    machine.served_l1 = served_l1
+    machine.l1d_misses = l1d_misses
+    return loads, load_lat, instr, len(posq)
+
+
+def _baked_geometry(hierarchy: CacheHierarchy) -> tuple[tuple[int, ...], ...]:
+    """Every hierarchy parameter a plan bakes into its records and events.
+
+    The upper levels decide the event stream and the base latencies;
+    each event carries its LLC set and DRAM row and bank, and each base
+    latency the LLC hit latency.
+    """
+    llc = hierarchy.llc
+    dram = hierarchy.dram
+    return (
+        *(
+            (cache.num_sets, cache.num_ways, cache.hit_latency, cache.block_bits)
+            for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+        ),
+        (llc.num_sets, llc.hit_latency),
+        (dram.config.row_bytes, len(dram._banks)),
+    )
 
 
 class _CellState:
-    """Per-cell mutable replay state: core clock + in-flight ring."""
+    """Per-cell mutable replay state: core clock, in-flight ring, LLC index."""
 
     __slots__ = (
         "cycle", "ring", "rh", "rt", "rob_stall", "mshr_stall",
         "load_lat_extra", "served_llc", "served_dram", "l1d_misses_to_dram",
+        "resident", "free_ways",
     )
 
-    def __init__(self, ring_size: int) -> None:
-        self.cycle = 0.0
+    def __init__(self, ring_size: int, llc: Cache) -> None:
         # Completion cycles of in-flight loads, FIFO. Occupancy is
         # bounded by the MSHR count (the schedule pops before every
         # append at capacity), so a fixed ring with head/tail cursors
         # replaces the reference deque of (position, completion) tuples.
         self.ring = [0.0] * ring_size
+        self.restart()
+        # The replay works on the LLC's own flat arrays (line = set_index
+        # * ways + way). Two derived structures make its probes O(1): a
+        # block → way dict (a block lives in exactly one set, so keys
+        # are unique) replaces the way scans, and per-set free-way counts
+        # turn the fill path's invalid-way search — a guaranteed full
+        # miss scan once the sets fill up — into one integer test. Free
+        # ways only disappear: evictions replace in place. They stay
+        # valid while only the replay changes the LLC, so a cell builds
+        # them once, and an empty LLC (every fresh cell) needs no scan.
+        ways = llc.num_ways
+        tags = llc._tags
+        if tags.count(-1) == len(tags):
+            self.free_ways = [ways] * llc.num_sets
+            self.resident: dict[int, int] = {}
+        else:
+            self.free_ways = [ways - n for n in llc.set_occupancies()]
+            self.resident = {tag: i % ways for i, tag in enumerate(tags) if tag != -1}
+
+    def restart(self) -> None:
+        """Start a core window: cycle 0, nothing in flight, zero counters."""
+        self.cycle = 0.0
         self.rh = 0
         self.rt = 0
         self.rob_stall = 0.0
@@ -476,6 +405,7 @@ def _noop_eviction(set_index: int, way: int, victim_block: int) -> None:
 
 
 _KIND_STORE = 1
+_KIND_IFETCH = 2
 _KIND_PREFETCH = 3
 _KIND_WRITEBACK = 4
 _SHCT_MASK = SHCT_SIZE - 1
@@ -958,25 +888,30 @@ class BatchPlan:
                 f"{core_cfg.max_outstanding_misses}"
             )
         scratch = build_hierarchy(config, "lru")
-        if not batch_eligible(scratch, trace):
+        if not fastpath_eligible(scratch, trace):
             raise ConfigurationError(
                 f"{trace.name}: trace/config combination is not batch-eligible"
             )
-        machine = _PlanMachine(scratch)
+        machine = FastMachine(scratch)
+        log = _LLCEventLog(scratch.llc.hit_latency)
+        machine.llc = log  # type: ignore[assignment]
         self.block_bits = machine.block_bits
+        self.geometry = _baked_geometry(scratch)
 
         gws: list[float] = []
         lats: list[int] = []
         codes: list[int] = []
-        _, _, _, w_alive = machine.scan(
-            trace, 0, self.warmup_end, core_cfg, gws, lats, codes, None
+        _, _, _, w_alive = _scan(
+            machine, log, trace, 0, self.warmup_end, core_cfg,
+            gws, lats, codes, None,
         )
         machine.reset_counters()
         prefixes: list[tuple[int, int, int, int, int, int]] | None = (
             [] if collect_prefixes else None
         )
-        m_loads, m_load_lat, m_instr, m_alive = machine.scan(
-            trace, self.warmup_end, n, core_cfg, gws, lats, codes, prefixes
+        m_loads, m_load_lat, m_instr, m_alive = _scan(
+            machine, log, trace, self.warmup_end, n, core_cfg,
+            gws, lats, codes, prefixes,
         )
 
         self.warmup_alive = w_alive
@@ -1001,30 +936,27 @@ class BatchPlan:
                 c >> _EV_SHIFT for c in codes[: self.warmup_end]
             )
         # Events carry every policy-independent derivation precomputed
-        # once and shared by all cells: the LLC set index, the DRAM
-        # row/bank a demand miss would read, and the PolicyAccess the
+        # once and shared by all cells: whether the probe is a demand
+        # (everything but an L2 victim writeback), the LLC set index, the
+        # DRAM row/bank a demand miss would read, whether it is an L1D
+        # miss (LOAD/STORE, not IFETCH), and the PolicyAccess the
         # hooks receive (an immutable NamedTuple, so one instance can
         # serve every replay). run_cell() guards that each hierarchy
         # matches this geometry.
-        self.set_mask = scratch.llc._set_mask
-        scratch_dram = scratch.dram.config
-        self.row_bytes = scratch_dram.row_bytes
-        self.nbanks = len(scratch.dram._banks)
-        blocks = np.array(machine.ev_block, dtype=np.int64)
-        kinds = np.array(machine.ev_kind, dtype=np.int64)
-        rows = (blocks << self.block_bits) // self.row_bytes
+        blocks = np.array(log.blocks, dtype=np.int64)
+        kinds = np.array(log.kinds, dtype=np.int64)
+        rows = (blocks << self.block_bits) // scratch.dram.config.row_bytes
         self.events: list[tuple] = list(
             zip(
-                machine.ev_demand,
-                machine.ev_block,
-                (blocks & self.set_mask).tolist(),
+                (kinds != _KIND_WRITEBACK).tolist(),
+                log.blocks,
+                (blocks & scratch.llc._set_mask).tolist(),
                 rows.tolist(),
-                (rows % self.nbanks).tolist(),
-                machine.ev_isdata,
-                (kinds == 1).tolist(),
-                machine.ev_kind,
-                map(PolicyAccess, machine.ev_block, machine.ev_pc,
-                    machine.ev_kind),
+                (rows % len(scratch.dram._banks)).tolist(),
+                (kinds < _KIND_IFETCH).tolist(),
+                (kinds == _KIND_STORE).tolist(),
+                log.kinds,
+                map(PolicyAccess, log.blocks, log.pcs, log.kinds),
             )
         )
 
@@ -1077,44 +1009,28 @@ class BatchPlan:
         statistics, dirty bits, victim mechanics) and the DRAM bank
         timing are inlined around the real policy-hook calls, operating
         on the live tag/dirty rows; counters accumulate in locals and
-        flush into the model objects on exit. With an LLC telemetry tap
-        attached the events route through
-        :meth:`~repro.mem.cache.Cache.access`/``fill`` instead
-        (:meth:`_replay_tapped`) so the tap observes every operation.
-        Float operations (``cycle += gap/width``, stall bumps to a
-        completion cycle) execute in exactly the reference order, so
-        cycle counts match to the last bit.
+        flush into the model objects on exit. An LLC telemetry tap, when
+        attached, is called where :meth:`~repro.mem.cache.Cache.access`
+        and ``fill`` would call it. Float operations (``cycle +=
+        gap/width``, stall bumps to a completion cycle) execute in
+        exactly the reference order, so cycle counts match to the last
+        bit.
         """
         llc = hierarchy.llc
-        if llc._telemetry is not None:
-            self._replay_tapped(cell, hierarchy, recs, ec)
-            return
         dram = hierarchy.dram
         bbits = self.block_bits
         events = self.events
 
-        # LLC checkout: the replay works on the cache's own flat arrays
-        # (line = set_index * ways + way) and hands find_victim the same
-        # set snapshot Cache.fill would. Two derived structures make the
-        # per-event probes O(1): a block → way dict (a block lives in
-        # exactly one set, so keys are unique) replaces the way scans,
-        # and per-set free-way counts turn the fill path's invalid-way
-        # search — a guaranteed full miss scan once the sets fill up —
-        # into one integer test. Free ways only disappear: evictions
-        # replace in place. An empty LLC (a fresh cell's warm-up) needs no
-        # scan.
+        # LLC checkout: the cache's own flat arrays plus the cell's
+        # block → way dict and free-way counts (see _CellState);
+        # find_victim gets the same set snapshot Cache.fill would hand it.
         llc_tags = llc._tags
         llc_dirty = llc._dirty
         ways = llc.num_ways
-        if llc_tags.count(-1) == len(llc_tags):
-            free_ways = [ways] * llc.num_sets
-            resident: dict[int, int] = {}
-        else:
-            free_ways = [ways - n for n in llc.set_occupancies()]
-            resident = {
-                tag: i % ways for i, tag in enumerate(llc_tags) if tag != -1
-            }
+        resident = cell.resident
         resident_get = resident.get
+        free_ways = cell.free_ways
+        tap = llc._telemetry
         policy = llc.policy
         specialized = _specialized_hooks(policy)
         if specialized is None:
@@ -1193,8 +1109,10 @@ class BatchPlan:
                         (demand, blk, set_index, row, b,
                          isdata, is_store, kind, acc) = events[ec]
                         ec += 1
+                        way = resident_get(blk)
+                        if tap is not None:
+                            tap.on_access(blk, kind, way is not None)
                         if demand:
-                            way = resident_get(blk)
                             if way is not None:
                                 # Cache.access hit: count, notify, dirty.
                                 s_dacc += 1
@@ -1253,6 +1171,8 @@ class BatchPlan:
                                         s_evict += 1
                                         if vdirty:
                                             s_devict += 1
+                                        if tap is not None:
+                                            tap.on_eviction(set_index)
                                         on_eviction(set_index, way, victim)
                                         llc_tags[line] = blk
                                         del resident[victim]
@@ -1278,15 +1198,13 @@ class BatchPlan:
                                             bank_next[b] = begin + svc
                                             s_writes += 1
                                 served_dram += 1
+                        elif way is not None:
+                            # Writeback hit: refresh and mark dirty.
+                            s_wbacc += 1
+                            s_wbhits += 1
+                            on_hit(set_index, way, acc)
+                            llc_dirty[set_index * ways + way] = 1
                         else:
-                            way = resident_get(blk)
-                            if way is not None:
-                                # Writeback hit: refresh and mark dirty.
-                                s_wbacc += 1
-                                s_wbhits += 1
-                                on_hit(set_index, way, acc)
-                                llc_dirty[set_index * ways + way] = 1
-                                continue
                             first = set_index * ways
                             s_wbacc += 1
                             s_pkm[4] += 1
@@ -1314,6 +1232,8 @@ class BatchPlan:
                                     if vdirty:
                                         s_devict += 1
                                         victim = cand
+                                    if tap is not None:
+                                        tap.on_eviction(set_index)
                                     on_eviction(set_index, way, cand)
                                     llc_tags[line] = blk
                                     del resident[cand]
@@ -1401,127 +1321,6 @@ class BatchPlan:
         dstats.row_closed += s_rowclosed
         dstats.total_read_latency += s_rdlat
 
-    def _replay_tapped(
-        self,
-        cell: _CellState,
-        hierarchy: CacheHierarchy,
-        recs: list[tuple[float, int, int]],
-        ec: int,
-    ) -> None:
-        """Replay with LLC events through the regular cache methods.
-
-        Used when a telemetry tap is armed on the LLC: the tap's
-        ``on_access``/``on_eviction`` callbacks must fire per event, so
-        the inlined bookkeeping would blind it. Cycle arithmetic and
-        event order are identical to :meth:`replay`.
-        """
-        llc = hierarchy.llc
-        dram = hierarchy.dram
-        llc_access = llc.access
-        llc_fill = llc.fill
-        dram_read = dram.read
-        dram_write = dram.write
-        bbits = self.block_bits
-        events = self.events
-        ring = cell.ring
-        ring_n = len(ring)
-        rh = cell.rh
-        rt = cell.rt
-        cycle = cell.cycle
-        rob_stall = cell.rob_stall
-        mshr_stall = cell.mshr_stall
-        lat_extra = cell.load_lat_extra
-        served_llc = cell.served_llc
-        served_dram = cell.served_dram
-        l1d_md = cell.l1d_misses_to_dram
-
-        for gw, lat, code in recs:
-            if code == 3:
-                cycle += gw
-                done = ring[rh]
-                rh += 1
-                if rh == ring_n:
-                    rh = 0
-                if done > cycle:
-                    mshr_stall += done - cycle
-                    cycle = done
-                ring[rt] = cycle + lat
-                rt += 1
-                if rt == ring_n:
-                    rt = 0
-            elif code == 1:
-                cycle += gw
-                ring[rt] = cycle + lat
-                rt += 1
-                if rt == ring_n:
-                    rt = 0
-            elif code == 0:
-                cycle += gw
-            else:
-                ne = code >> _EV_SHIFT
-                if ne:
-                    icycle = int(cycle)
-                    base = lat
-                    stop_ec = ec + ne
-                    while ec < stop_ec:
-                        demand, blk, _, _, _, isdata, _, kind, acc = events[ec]
-                        ec += 1
-                        if demand:
-                            if llc_access(blk, acc.pc, kind).hit:
-                                served_llc += 1
-                            else:
-                                lat += dram_read(blk << bbits, icycle + lat)
-                                if isdata:
-                                    l1d_md += 1
-                                fr = llc_fill(blk, acc.pc, kind)
-                                victim = fr.victim_block
-                                if victim is not None and fr.victim_dirty:
-                                    dram_write(victim << bbits, icycle)
-                                served_dram += 1
-                        elif not llc_access(blk, 0, 4).hit:
-                            fr = llc_fill(blk, 0, 4)
-                            if fr.bypassed or (
-                                fr.victim_dirty and fr.victim_block is not None
-                            ):
-                                victim = blk if fr.bypassed else fr.victim_block
-                                dram_write(victim << bbits, icycle)
-                    if code & 1:
-                        lat_extra += lat - base
-                cycle += gw
-                nrob = (code >> _ROB_SHIFT) & _ROB_MASK
-                while nrob:
-                    done = ring[rh]
-                    rh += 1
-                    if rh == ring_n:
-                        rh = 0
-                    if done > cycle:
-                        rob_stall += done - cycle
-                        cycle = done
-                    nrob -= 1
-                if code & 2:
-                    done = ring[rh]
-                    rh += 1
-                    if rh == ring_n:
-                        rh = 0
-                    if done > cycle:
-                        mshr_stall += done - cycle
-                        cycle = done
-                if code & 1:
-                    ring[rt] = cycle + lat
-                    rt += 1
-                    if rt == ring_n:
-                        rt = 0
-
-        cell.cycle = cycle
-        cell.rh = rh
-        cell.rt = rt
-        cell.rob_stall = rob_stall
-        cell.mshr_stall = mshr_stall
-        cell.load_lat_extra = lat_extra
-        cell.served_llc = served_llc
-        cell.served_dram = served_dram
-        cell.l1d_misses_to_dram = l1d_md
-
     def drain(self, cell: _CellState, alive: int) -> float:
         """Replay :meth:`CoreModel.drain`: wait for ``alive`` loads."""
         cycle = cell.cycle
@@ -1576,19 +1375,15 @@ class BatchSimulator:
         config = self.config
         if hierarchy is None:
             hierarchy = build_hierarchy(config, llc_policy)
-        if not batch_eligible(hierarchy, trace):
+        if not fastpath_eligible(hierarchy, trace):
             raise ConfigurationError(
                 f"{trace.name}/{hierarchy.llc.policy.name}: cell is not "
                 "batch-eligible; use simulate() instead"
             )
-        if (
-            hierarchy.llc._set_mask != plan.set_mask
-            or hierarchy.dram.config.row_bytes != plan.row_bytes
-            or len(hierarchy.dram._banks) != plan.nbanks
-        ):
-            # The plan precomputes per-event set indices and DRAM
-            # rows/banks for its config's geometry; a hierarchy built
-            # from a different one would replay silently wrong.
+        if _baked_geometry(hierarchy) != plan.geometry:
+            # The plan baked its config's upper levels, latencies and
+            # LLC/DRAM geometry into every record and event; a hierarchy
+            # built from a different config would replay silently wrong.
             raise ConfigurationError(
                 f"{trace.name}/{hierarchy.llc.policy.name}: hierarchy "
                 "geometry does not match the plan's machine config"
@@ -1597,11 +1392,11 @@ class BatchSimulator:
 
         # Warm-up: the LLC and DRAM evolve per policy; statistics are
         # then discarded at the boundary exactly as the driver does.
-        cell = _CellState(plan.ring_size)
+        cell = _CellState(plan.ring_size, hierarchy.llc)
         plan.replay(cell, hierarchy, plan.warmup_recs, 0)
         _reset_statistics(hierarchy, int(plan.drain(cell, plan.warmup_alive)))
 
-        cell = _CellState(plan.ring_size)
+        cell.restart()
         collector: TelemetryCollector | None = None
         core: CoreModel | None = None
         if self.telemetry is not None:
@@ -1743,7 +1538,7 @@ def simulate_batched(
     for policy in policies:
         hierarchy = build_hierarchy(config, policy)
         name = hierarchy.llc.policy.name
-        if batch_eligible(hierarchy, trace):
+        if fastpath_eligible(hierarchy, trace):
             if sim is None:
                 sim = BatchSimulator(trace, config, warmup_fraction, telemetry)
             results[name] = sim.run_cell(policy, hierarchy)
@@ -1757,26 +1552,3 @@ def simulate_batched(
             )
     return results
 
-
-def batch_eligible(hierarchy: CacheHierarchy, trace: Trace) -> bool:
-    """Whether the batched engine models this machine/trace combination.
-
-    Exactly as conservative as
-    :func:`~repro.mem.fastpath.fastpath_eligible`: prefetching, inclusive
-    mode, attached sanitizers, telemetry taps on upper levels, non-LRU
-    upper-level policies, or trace records beyond LOAD/STORE/IFETCH all
-    select the per-cell engines instead. The LLC policy is never
-    constrained (each cell's LLC stays a real :class:`Cache`).
-    """
-    if hierarchy.l2_prefetcher is not None or hierarchy.inclusive:
-        return False
-    if hierarchy._sanitizer is not None or hierarchy.llc._sanitizer is not None:
-        return False
-    for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
-        if type(cache.policy) is not LRUPolicy:
-            return False
-        if cache._sanitizer is not None or cache._telemetry is not None:
-            return False
-    if len(trace) and int(trace.kinds.max()) > 2:  # beyond IFETCH
-        return False
-    return True

@@ -8,7 +8,9 @@ so none of that generality is needed above the LLC. :class:`FastMachine`
 runs a composed per-record driver directly on those three levels' flat
 arrays, and the LLC (the experiment variable) and the DRAM model stay
 the real objects, so arbitrary replacement policies, telemetry taps and
-bank timing behave exactly as in the reference engine.
+bank timing behave exactly as in the reference engine. The batched
+engine (:mod:`repro.mem.batch`) runs the same machine for its plan pass,
+with the LLC swapped for an event log that records each probe.
 
 Representation per fast level, indexed by ``set * num_ways + way``:
 
@@ -54,7 +56,8 @@ Bit-identity with the reference engine rests on three invariants:
 Eligibility is conservative: any feature the fast path does not model
 (prefetching, inclusive mode, sanitizers, upper-level telemetry taps,
 non-LRU upper levels, prefetch/writeback records in the trace) falls
-back to the reference engine — see :func:`fastpath_eligible`.
+back to the reference engine — see :func:`fastpath_eligible`, the one
+predicate both optimized engines consult.
 """
 
 from __future__ import annotations
@@ -77,10 +80,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _FastLevel:
     """One always-LRU :class:`Cache` level, seen through its flat arrays.
 
-    Serves both optimized engines: :class:`FastMachine` runs a cell's
-    own upper levels through it, and the batched engine's plan runs a
-    scratch hierarchy's, then copies the outcome into every cell with
-    :meth:`publish_into`.
+    Serves both optimized engines through :class:`FastMachine`: a
+    fast-engine cell runs its own upper levels, and the batched engine's
+    plan runs a scratch hierarchy's, then copies the outcome into every
+    cell with :meth:`publish_into`.
     """
 
     __slots__ = (

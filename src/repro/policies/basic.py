@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from .base import PolicyAccess, ReplacementPolicy
 
 
@@ -182,7 +183,7 @@ class TreePLRUPolicy(ReplacementPolicy):
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
         if num_ways & (num_ways - 1):
-            raise ValueError(
+            raise ConfigurationError(
                 f"Tree-PLRU requires a power-of-two way count, got {num_ways}"
             )
         self._bits = [[0] * max(1, num_ways - 1) for _ in range(num_sets)]

@@ -11,6 +11,7 @@ cell must not take the rest of the matrix down).
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,8 @@ from repro.harness.engine import (
     _simulate_cell_by_name,
     _simulate_group,
 )
-from repro.mem.batch import BatchSimulator, batch_eligible, simulate_batched
+from repro.mem.batch import BatchSimulator, simulate_batched
+from repro.mem.fastpath import fastpath_eligible
 from repro.resilience import RetryPolicy
 from repro.telemetry import TelemetryConfig
 from repro.trace import synthetic
@@ -91,7 +93,7 @@ class TestSimulateBatched:
         # WRITEBACK records are outside the modeled kinds; the batched
         # wrapper must route the cell through simulate() instead.
         trace = make_trace([0, 64, 128, 192], kinds=int(AccessKind.WRITEBACK))
-        assert not batch_eligible(build_hierarchy(machine, "lru"), trace)
+        assert not fastpath_eligible(build_hierarchy(machine, "lru"), trace)
         batched = simulate_batched(trace, ["lru"], config=machine)
         single = simulate(trace, config=machine, llc_policy="lru")
         assert canonical(batched["lru"]) == canonical(single)
@@ -101,16 +103,16 @@ class TestSimulateBatched:
         from repro.policies.registry import make_policy
 
         zipf = traces["zipf"]
-        assert batch_eligible(build_hierarchy(machine, "hawkeye"), zipf)
+        assert fastpath_eligible(build_hierarchy(machine, "hawkeye"), zipf)
         with_pf = build_hierarchy(
             machine, "lru", l2_prefetcher=NextLinePrefetcher()
         )
-        assert not batch_eligible(with_pf, zipf)
+        assert not fastpath_eligible(with_pf, zipf)
         inclusive = build_hierarchy(machine, "lru", inclusive=True)
-        assert not batch_eligible(inclusive, zipf)
+        assert not fastpath_eligible(inclusive, zipf)
         swapped = build_hierarchy(machine, "lru")
         swapped.l1d.policy = make_policy("fifo")
-        assert not batch_eligible(swapped, zipf)
+        assert not fastpath_eligible(swapped, zipf)
 
 
 class TestBatchedSweepBitIdentity:
@@ -198,6 +200,39 @@ class TestCacheInteraction:
         assert outcome.stats.hits == len(POLICIES)
         assert outcome.stats.simulated == len(POLICIES)
         assert canon_matrix(outcome) == fast_baseline
+
+
+def doubled_l1d(machine):
+    l1d = machine.l1d
+    return replace(machine, l1d=replace(l1d, size_bytes=2 * l1d.size_bytes))
+
+
+def slower_llc(machine):
+    llc = machine.llc
+    return replace(machine, llc=replace(llc, hit_latency=llc.hit_latency + 10))
+
+
+class TestPlanGeometryGuard:
+    """run_cell refuses a hierarchy unlike the machine its plan baked in."""
+
+    @pytest.mark.parametrize("variant", [doubled_l1d, slower_llc])
+    def test_mismatched_hierarchy_rejected(self, machine, traces, variant):
+        sim = BatchSimulator(traces["zipf"], machine)
+        hierarchy = build_hierarchy(variant(machine), "lru")
+        tags_before = list(hierarchy.l1d._tags)
+        with pytest.raises(ConfigurationError, match="does not match the plan"):
+            sim.run_cell("lru", hierarchy)
+        # Refused before anything was published into it.
+        assert hierarchy.l1d._tags == tags_before
+
+    def test_hierarchy_from_plan_config_runs(self, machine, traces):
+        trace = traces["zipf"]
+        sim = BatchSimulator(trace, machine)
+        result = sim.run_cell("ship", build_hierarchy(machine, "ship"))
+        reference = simulate(
+            trace, config=machine, llc_policy="ship", engine="reference"
+        )
+        assert canonical(result) == canonical(reference)
 
 
 class TestIneligibleFallback:

@@ -33,6 +33,14 @@ class TestSimulate:
         assert rc == 1
         assert "bfs" in capsys.readouterr().err
 
+    def test_policy_unfit_for_llc_geometry_fails_cleanly(self, capsys):
+        # Tree-PLRU needs a power-of-two way count; the default LLC has 11.
+        rc = main(["simulate", "gap.bfs.10", "--policy", "plru",
+                   "--window", "2000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "power-of-two" in err
+
     def test_unknown_policy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["simulate", "gap.bfs.10", "--policy", "nope"])

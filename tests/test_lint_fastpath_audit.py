@@ -61,17 +61,12 @@ def checkout(policy):
 """
 
 
-CLEAN_BATCH = CLEAN_FASTPATH.replace("fastpath_eligible", "batch_eligible")
-
-
-def lint_fixture(tmp_path, fastpath_source, batch_source=None):
+def lint_fixture(tmp_path, fastpath_source):
     root = tmp_path / "mem"
     root.mkdir(parents=True, exist_ok=True)
     (root / "support.py").write_text(textwrap.dedent(SUPPORT))
     fastpath = root / "fastpath.py"
     fastpath.write_text(textwrap.dedent(fastpath_source))
-    if batch_source is not None:
-        (root / "batch.py").write_text(textwrap.dedent(batch_source))
     return fastpath, lint_paths([root], [make_rule("fastpath-eligibility")])
 
 
@@ -207,38 +202,6 @@ class TestKindBound:
             "int(trace.kinds.max()) > 2", "2 < int(trace.kinds.max())"
         ))
         assert findings == []
-
-
-class TestBatchedEngine:
-    """The same obligations bind repro.mem.batch's batch_eligible()."""
-
-    def test_clean_batch_guard_passes(self, tmp_path):
-        _, findings = lint_fixture(tmp_path, CLEAN_FASTPATH, CLEAN_BATCH)
-        assert findings == []
-
-    def test_missing_batch_predicate_flagged(self, tmp_path):
-        _, findings = lint_fixture(tmp_path, CLEAN_FASTPATH, """
-            def simulate_batched(trace, policies):
-                return {}
-        """)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.rule == "fastpath-eligibility"
-        assert finding.path.endswith("batch.py")
-        assert "no top-level batch_eligible" in finding.message
-
-    def test_batch_drift_flagged_independently(self, tmp_path):
-        """A drifted batch guard is flagged while fastpath.py stays clean."""
-        drifted = CLEAN_BATCH.replace(
-            "    if hierarchy.inclusive:\n        return False\n", ""
-        )
-        assert "inclusive" not in drifted  # the drift really is planted
-        _, findings = lint_fixture(tmp_path, CLEAN_FASTPATH, drifted)
-        assert len(findings) == 1
-        finding = findings[0]
-        assert finding.path.endswith("batch.py")
-        assert "batch_eligible() never inspects" in finding.message
-        assert "'inclusive'" in finding.message
 
 
 class TestLiveFastpath:

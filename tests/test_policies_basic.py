@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.mem.cache import Cache
 from repro.policies.base import PolicyAccess
 from repro.policies.basic import (
@@ -111,7 +112,7 @@ class TestNRU:
 
 class TestTreePLRU:
     def test_requires_power_of_two_ways(self):
-        with pytest.raises(ValueError, match="power-of-two"):
+        with pytest.raises(ConfigurationError, match="power-of-two"):
             Cache("T", 3 * 64, 3, TreePLRUPolicy())
 
     def test_victim_follows_tree_bits(self):

@@ -34,15 +34,17 @@ plan bakes out, per record:
 
 plus flat arrays of the LLC-visible events. :meth:`BatchPlan.replay`
 then drives one cell: the LLC's flat tag/dirty arrays and DRAM bank
-timing with the generic cache/memory bookkeeping inlined around the
-*real* policy-hook calls (``on_hit``/``find_victim``/``on_eviction``/
-``on_fill`` — the per-cell variable is the policy, so its code runs
-unmodified on the live cache state), plus a ring buffer of load-completion
-cycles that replays :meth:`~repro.core.cpu.CoreModel.step`'s float
-arithmetic in the identical order. Everything the upper levels
-contribute to the result — level statistics, ``l1d_misses``, served-by
-counts, final tag/dirty/LRU state — is computed once in the plan and
-published into every cell.
+timing with the generic cache/memory bookkeeping inlined around calls to
+the cell policy's own ``on_hit``/``find_victim``/``on_eviction``/
+``on_fill`` methods (the per-cell variable is the policy, so the code
+the reference and fast engines run is the code the replay runs, on the
+live cache state; no engine keeps a copy of any policy), plus a ring
+buffer of load-completion cycles that replays
+:meth:`~repro.core.cpu.CoreModel.step`'s float arithmetic in the
+identical order. Everything the upper levels contribute to the result
+— level statistics, ``l1d_misses``, served-by counts, final
+tag/dirty/LRU state — is computed once in the plan and published into
+every cell.
 
 Two further plan-time reductions keep the per-cell replay close to the
 irreducible LLC/DRAM work:
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,42 +90,12 @@ from ..core.simulator import (
 )
 from ..errors import ConfigurationError
 from ..policies.base import BYPASS, PolicyAccess
-from ..policies.basic import LRUPolicy
-from ..policies.glider import (
-    ISVM_TABLE_BITS,
-    ISVM_TABLE_SIZE,
-    THRESHOLD_AVERSE,
-    THRESHOLD_CONFIDENT,
-    GliderPolicy,
-)
-from ..policies.hawkeye import (
-    FRIENDLY_THRESHOLD,
-    HAWKEYE_RRPV_MAX,
-    PREDICTOR_BITS,
-    PREDICTOR_SIZE,
-    HawkeyePolicy,
-)
-from ..policies.mpppb import (
-    SAMPLE_STRIDE as MP_SAMPLE_STRIDE,
-    TABLE_BITS as MP_TABLE_BITS,
-    TABLE_SIZE as MP_TABLE_SIZE,
-    THETA_BYPASS,
-    THETA_DEAD,
-    MPPPBPolicy,
-)
-from ..policies.rrip import (
-    BRRIP_LONG_PERIOD,
-    RRPV_MAX,
-    DRRIPPolicy,
-    SRRIPPolicy,
-)
-from ..policies.ship import SHCT_MAX, SHCT_SIZE, SIGNATURE_BITS, SHiPPolicy
 from .cache import AccessResult
 from .fastpath import FastMachine, fastpath_eligible
 from .hierarchy import ServiceLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable, Iterable, Sequence
+    from collections.abc import Iterable, Sequence
 
     from ..core.config import CoreConfig, MachineConfig
     from ..policies.base import ReplacementPolicy
@@ -132,13 +104,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cache import Cache
     from .hierarchy import CacheHierarchy
 
-    #: (on_hit, on_fill, on_eviction, find_victim, check_in) closure set.
-    _TouchHook = Callable[[int, int, PolicyAccess], None]
-    _EvictHook = Callable[[int, int, int], None]
-    _VictimHook = Callable[[int, PolicyAccess, list[int]], int]
-    _PolicyHooks = tuple[
-        _TouchHook, _TouchHook, _EvictHook, _VictimHook, Callable[[], None] | None
-    ]
+#: The access kinds the plan derives its per-event flags from.
+_KIND_STORE = 1
+_KIND_IFETCH = 2
+_KIND_WRITEBACK = 4
 
 #: Opcode layout: bit 0 = load/ifetch (occupies the window), bit 1 =
 #: MSHR pop, bits 2..19 = ROB pop count, bits 20+ = LLC event count.
@@ -400,424 +369,6 @@ class _CellState:
         self.l1d_misses_to_dram = 0
 
 
-def _noop_eviction(set_index: int, way: int, victim_block: int) -> None:
-    """Stand-in for the base class's no-op ``on_eviction``."""
-
-
-_KIND_STORE = 1
-_KIND_IFETCH = 2
-_KIND_PREFETCH = 3
-_KIND_WRITEBACK = 4
-_SHCT_MASK = SHCT_SIZE - 1
-_SIG2 = 2 * SIGNATURE_BITS
-_PRED_MASK = PREDICTOR_SIZE - 1
-_PRED_SHIFT2 = 2 * PREDICTOR_BITS
-_ISVM_MASK = ISVM_TABLE_SIZE - 1
-_ISVM_SHIFT2 = 2 * ISVM_TABLE_BITS
-_MP_MASK = MP_TABLE_SIZE - 1
-
-
-def _specialized_hooks(policy: Any) -> _PolicyHooks | None:
-    """Closure replacements for the paper policies' hook methods.
-
-    Hook *dispatch* — bound-method calls, ``PolicyAccess`` property
-    lookups, Python-level victim scans — costs as much as the state
-    updates themselves for the simple policies, and is a sizable tax
-    even on the learned ones. This returns ``(on_hit, on_fill,
-    on_eviction, find_victim, check_in)`` closures that mutate the
-    policy's own state lists in place with the identical arithmetic in
-    the identical order (C-level ``min``/``index``/``in`` scans replace
-    the reference's first-match Python loops, which pick the same way),
-    so results stay bit-identical — `verify-fastpath --engine batched`
-    covers every one of these policies. Scalar state (the LRU clock,
-    DRRIP's PSEL/fill counter, fill/bypass statistics) lives in cells
-    of the closure; ``check_in`` (possibly ``None``) writes it back so
-    snapshots and later replays observe it.
-
-    Exact-type matches only: a subclass overriding any hook falls back
-    to its real methods.
-    """
-    cls = type(policy)
-    if cls is LRUPolicy:
-        stamps: list[int] = policy._stamp
-        clock: int = policy._clock
-        lru_ways: int = policy.num_ways
-
-        def lru_touch(set_index: int, way: int, access: PolicyAccess) -> None:
-            nonlocal clock
-            clock += 1
-            stamps[set_index * lru_ways + way] = clock
-
-        def lru_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            base = set_index * lru_ways
-            end = base + lru_ways
-            return stamps.index(min(stamps[base:end]), base, end) - base
-
-        def lru_check_in() -> None:
-            policy._clock = clock
-
-        return lru_touch, lru_touch, _noop_eviction, lru_victim, lru_check_in
-
-    if cls is SRRIPPolicy or cls is DRRIPPolicy:
-        rrpv: list[list[int]] = policy._rrpv
-
-        def rrip_hit(set_index: int, way: int, access: PolicyAccess) -> None:
-            rrpv[set_index][way] = 0
-
-        def rrip_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            row = rrpv[set_index]
-            while RRPV_MAX not in row:
-                row[:] = [value + 1 for value in row]
-            return row.index(RRPV_MAX)
-
-        if cls is SRRIPPolicy:
-
-            def srrip_fill(set_index: int, way: int, access: PolicyAccess) -> None:
-                rrpv[set_index][way] = RRPV_MAX - 1
-
-            return rrip_hit, srrip_fill, _noop_eviction, rrip_victim, None
-
-        leader = policy._leader
-        psel = policy._psel
-        psel_max = policy._psel_max
-        psel_mid = (psel_max + 1) // 2
-        fills = policy._fill_count
-
-        def drrip_fill(set_index: int, way: int, access: PolicyAccess) -> None:
-            nonlocal psel, fills
-            role = leader[set_index]
-            kind = access.kind
-            # record_demand_miss() precedes the insertion decision, so a
-            # follower read of PSEL sees this miss already counted.
-            if kind != _KIND_WRITEBACK and kind != _KIND_PREFETCH:
-                if role > 0:
-                    if psel < psel_max:
-                        psel += 1
-                elif role < 0 and psel > 0:
-                    psel -= 1
-            if role > 0 or (role == 0 and psel < psel_mid):
-                rrpv[set_index][way] = RRPV_MAX - 1
-            else:
-                fills += 1
-                rrpv[set_index][way] = (
-                    RRPV_MAX - 1 if fills % BRRIP_LONG_PERIOD == 0 else RRPV_MAX
-                )
-
-        def drrip_check_in() -> None:
-            policy._psel = psel
-            policy._fill_count = fills
-
-        return rrip_hit, drrip_fill, _noop_eviction, rrip_victim, drrip_check_in
-
-    if cls is SHiPPolicy:
-        ship_rrpv: list[list[int]] = policy._rrpv
-        line_sig = policy._line_sig
-        line_reused = policy._line_reused
-        line_valid = policy._line_valid
-        shct = policy._shct
-
-        def ship_hit(set_index: int, way: int, access: PolicyAccess) -> None:
-            if access.kind == _KIND_WRITEBACK:
-                return
-            ship_rrpv[set_index][way] = 0
-            if line_valid[set_index][way] and not line_reused[set_index][way]:
-                line_reused[set_index][way] = True
-                sig = line_sig[set_index][way]
-                if shct[sig] < SHCT_MAX:
-                    shct[sig] += 1
-
-        def ship_fill(set_index: int, way: int, access: PolicyAccess) -> None:
-            pc = access.pc
-            sig = (pc ^ (pc >> SIGNATURE_BITS) ^ (pc >> _SIG2)) & _SHCT_MASK
-            line_sig[set_index][way] = sig
-            line_reused[set_index][way] = False
-            if access.kind == _KIND_WRITEBACK:
-                ship_rrpv[set_index][way] = RRPV_MAX
-                line_valid[set_index][way] = False
-                return
-            line_valid[set_index][way] = True
-            ship_rrpv[set_index][way] = (
-                RRPV_MAX if shct[sig] == 0 else RRPV_MAX - 1
-            )
-
-        def ship_evict(set_index: int, way: int, victim_block: int) -> None:
-            if line_valid[set_index][way] and not line_reused[set_index][way]:
-                sig = line_sig[set_index][way]
-                if shct[sig] > 0:
-                    shct[sig] -= 1
-            line_valid[set_index][way] = False
-
-        def ship_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            row = ship_rrpv[set_index]
-            while RRPV_MAX not in row:
-                row[:] = [value + 1 for value in row]
-            return row.index(RRPV_MAX)
-
-        return ship_hit, ship_fill, ship_evict, ship_victim, None
-
-    # The learned policies get the same treatment with one boundary:
-    # everything that *learns* — Hawkeye's and Glider's OPTgen sampler
-    # and (de)training, MPPPB's perceptron update — stays a real method
-    # call, while the per-touch bookkeeping around it (prediction reads,
-    # RRPV/stamp writes, the insertion-aging loop) is inlined. Their
-    # find_victim common case — evict the first cache-averse line (RRPV
-    # at max) — is a side-effect-free scan the C-level ``in``/``index``
-    # pair resolves identically; the friendly-eviction fallback (which
-    # detrains the predictor) re-enters the real method, whose own
-    # leading scan then finds nothing and proceeds unchanged.
-
-    if cls is HawkeyePolicy:
-        h_rrpv: list[list[int]] = policy._rrpv
-        h_friendly = policy._line_friendly
-        h_pc = policy._line_pc
-        h_counters = policy._counters
-        h_sample = policy._sample
-        h_real_victim: _VictimHook = policy.find_victim
-        h_stat_friendly = policy.stat_friendly_fills
-        h_stat_averse = policy.stat_averse_fills
-
-        def hawkeye_hit(set_index: int, way: int, access: PolicyAccess) -> None:
-            h_sample(set_index, access)
-            if access.kind == _KIND_WRITEBACK:
-                return
-            pc = access.pc
-            friendly = (
-                h_counters[(pc ^ (pc >> PREDICTOR_BITS) ^ (pc >> _PRED_SHIFT2)) & _PRED_MASK]
-                >= FRIENDLY_THRESHOLD
-            )
-            h_friendly[set_index][way] = friendly
-            h_pc[set_index][way] = pc
-            h_rrpv[set_index][way] = 0 if friendly else HAWKEYE_RRPV_MAX
-
-        def hawkeye_fill(set_index: int, way: int, access: PolicyAccess) -> None:
-            nonlocal h_stat_friendly, h_stat_averse
-            h_sample(set_index, access)
-            if access.kind == _KIND_WRITEBACK:
-                h_friendly[set_index][way] = False
-                h_pc[set_index][way] = 0
-                h_rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-                return
-            pc = access.pc
-            friendly = (
-                h_counters[(pc ^ (pc >> PREDICTOR_BITS) ^ (pc >> _PRED_SHIFT2)) & _PRED_MASK]
-                >= FRIENDLY_THRESHOLD
-            )
-            h_friendly[set_index][way] = friendly
-            h_pc[set_index][way] = pc
-            if friendly:
-                h_stat_friendly += 1
-                row = h_rrpv[set_index]
-                for w, value in enumerate(row):
-                    if w != way and value < HAWKEYE_RRPV_MAX - 1:
-                        row[w] = value + 1
-                row[way] = 0
-            else:
-                h_stat_averse += 1
-                h_rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-
-        def hawkeye_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            row = h_rrpv[set_index]
-            if HAWKEYE_RRPV_MAX in row:
-                return row.index(HAWKEYE_RRPV_MAX)
-            return h_real_victim(set_index, access, tags)
-
-        def hawkeye_check_in() -> None:
-            policy.stat_friendly_fills = h_stat_friendly
-            policy.stat_averse_fills = h_stat_averse
-
-        return (
-            hawkeye_hit,
-            hawkeye_fill,
-            _noop_eviction,
-            hawkeye_victim,
-            hawkeye_check_in,
-        )
-
-    if cls is GliderPolicy:
-        g_rrpv: list[list[int]] = policy._rrpv
-        g_friendly = policy._line_friendly
-        g_line_features = policy._line_features
-        g_isvms = policy._isvms
-        g_sample = policy._sample
-        g_push = policy._push_history
-        g_real_victim: _VictimHook = policy.find_victim
-        g_stat_friendly = policy.stat_friendly_fills
-        g_stat_averse = policy.stat_averse_fills
-
-        def glider_hit(set_index: int, way: int, access: PolicyAccess) -> None:
-            if access.kind == _KIND_WRITEBACK:
-                g_friendly[set_index][way] = False
-                g_line_features[set_index][way] = (0, ())
-                g_rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-                return
-            pc = access.pc
-            features = (
-                (pc ^ (pc >> ISVM_TABLE_BITS) ^ (pc >> _ISVM_SHIFT2)) & _ISVM_MASK,
-                policy._pchr_slots,
-            )
-            # _sample may train the ISVM, so the prediction sum reads
-            # the weights only after it — the reference _touch order.
-            g_sample(set_index, access, features)
-            weights = g_isvms[features[0]]
-            total = sum(map(weights.__getitem__, features[1]))
-            g_push(pc)
-            g_line_features[set_index][way] = features
-            if total < THRESHOLD_AVERSE:
-                g_friendly[set_index][way] = False
-                g_rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-                return
-            g_friendly[set_index][way] = True
-            g_rrpv[set_index][way] = 0 if total >= THRESHOLD_CONFIDENT else 2
-
-        def glider_fill(set_index: int, way: int, access: PolicyAccess) -> None:
-            nonlocal g_stat_friendly, g_stat_averse
-            if access.kind == _KIND_WRITEBACK:
-                g_friendly[set_index][way] = False
-                g_line_features[set_index][way] = (0, ())
-                g_rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-                return
-            pc = access.pc
-            features = (
-                (pc ^ (pc >> ISVM_TABLE_BITS) ^ (pc >> _ISVM_SHIFT2)) & _ISVM_MASK,
-                policy._pchr_slots,
-            )
-            g_sample(set_index, access, features)
-            weights = g_isvms[features[0]]
-            total = sum(map(weights.__getitem__, features[1]))
-            g_push(pc)
-            g_line_features[set_index][way] = features
-            if total < THRESHOLD_AVERSE:
-                g_friendly[set_index][way] = False
-                g_rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-                g_stat_averse += 1
-                return
-            g_friendly[set_index][way] = True
-            g_stat_friendly += 1
-            row = g_rrpv[set_index]
-            for w, value in enumerate(row):
-                if w != way and value < HAWKEYE_RRPV_MAX - 1:
-                    row[w] = value + 1
-            g_rrpv[set_index][way] = 0 if total >= THRESHOLD_CONFIDENT else 2
-
-        def glider_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            row = g_rrpv[set_index]
-            if HAWKEYE_RRPV_MAX in row:
-                return row.index(HAWKEYE_RRPV_MAX)
-            return g_real_victim(set_index, access, tags)
-
-        def glider_check_in() -> None:
-            policy.stat_friendly_fills = g_stat_friendly
-            policy.stat_averse_fills = g_stat_averse
-
-        return (
-            glider_hit,
-            glider_fill,
-            _noop_eviction,
-            glider_victim,
-            glider_check_in,
-        )
-
-    if cls is MPPPBPolicy:
-        mp_stamp: list[list[int]] = policy._stamp
-        mp_clock = policy._clock
-        mp_dead = policy._line_dead
-        mp_line_features = policy._line_features
-        mp_reused = policy._line_reused
-        w0, w1, w2, w3, w4, w5, w6 = policy._weights
-        mp_history = policy._pc_history
-        mp_train = policy._train
-        mp_ways = policy.num_ways
-        mp_bypasses = policy.stat_bypasses
-        mp_fills = policy.stat_fills
-
-        def mp_features(access: PolicyAccess) -> tuple[int, ...]:
-            pc = access.pc
-            block = access.block
-            history_fold = 0
-            for i, h in enumerate(mp_history):
-                history_fold ^= h >> (i + 1)
-            page = block >> 6
-            return (
-                pc & _MP_MASK,
-                (pc >> 4) & _MP_MASK,
-                (pc >> 8) & _MP_MASK,
-                (pc ^ (pc >> MP_TABLE_BITS)) & _MP_MASK,
-                history_fold & _MP_MASK,
-                (page ^ (page >> MP_TABLE_BITS)) & _MP_MASK,
-                block & _MP_MASK,
-            )
-
-        def mp_touch(set_index: int, way: int, access: PolicyAccess) -> None:
-            nonlocal mp_clock
-            mp_clock += 1
-            mp_stamp[set_index][way] = mp_clock
-            if access.kind == _KIND_WRITEBACK:
-                mp_dead[set_index][way] = True
-                mp_line_features[set_index][way] = None
-                mp_reused[set_index][way] = True
-                return
-            features = mp_features(access)
-            f0, f1, f2, f3, f4, f5, f6 = features
-            total = w0[f0] + w1[f1] + w2[f2] + w3[f3] + w4[f4] + w5[f5] + w6[f6]
-            mp_dead[set_index][way] = total >= THETA_DEAD
-            if not set_index % MP_SAMPLE_STRIDE:
-                mp_line_features[set_index][way] = features
-            mp_history.append(access.pc)
-
-        def mp_hit(set_index: int, way: int, access: PolicyAccess) -> None:
-            if not set_index % MP_SAMPLE_STRIDE:
-                prior = mp_line_features[set_index][way]
-                if prior is not None:
-                    mp_train(prior, dead=False)
-            mp_reused[set_index][way] = True
-            mp_touch(set_index, way, access)
-
-        def mp_fill(set_index: int, way: int, access: PolicyAccess) -> None:
-            nonlocal mp_fills
-            mp_fills += 1
-            mp_reused[set_index][way] = False
-            mp_touch(set_index, way, access)
-
-        def mp_evict(set_index: int, way: int, victim_block: int) -> None:
-            if not set_index % MP_SAMPLE_STRIDE:
-                prior = mp_line_features[set_index][way]
-                if prior is not None and not mp_reused[set_index][way]:
-                    mp_train(prior, dead=True)
-            mp_line_features[set_index][way] = None
-
-        def mp_victim(set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-            nonlocal mp_bypasses
-            if access.kind != _KIND_WRITEBACK:
-                features = mp_features(access)
-                f0, f1, f2, f3, f4, f5, f6 = features
-                total = (
-                    w0[f0] + w1[f1] + w2[f2] + w3[f3] + w4[f4] + w5[f5] + w6[f6]
-                )
-                if total >= THETA_BYPASS:
-                    mp_bypasses += 1
-                    return BYPASS
-            dead = mp_dead[set_index]
-            stamps = mp_stamp[set_index]
-            victim = -1
-            oldest = None
-            for way in range(mp_ways):
-                if dead[way] and (oldest is None or stamps[way] < oldest):
-                    victim = way
-                    oldest = stamps[way]
-            if victim >= 0:
-                return victim
-            return stamps.index(min(stamps))
-
-        def mp_check_in() -> None:
-            policy._clock = mp_clock
-            policy.stat_bypasses = mp_bypasses
-            policy.stat_fills = mp_fills
-
-        return mp_hit, mp_fill, mp_evict, mp_victim, mp_check_in
-
-    return None
-
-
 def _fold_records(
     gws: list[float], lats: list[int], codes: list[int], lo: int, hi: int
 ) -> list[tuple[float, int, int]]:
@@ -1007,14 +558,15 @@ class BatchPlan:
         inlined; everything else — ROB retirements, LLC events — takes
         the general path. The LLC's generic bookkeeping (probe order,
         statistics, dirty bits, victim mechanics) and the DRAM bank
-        timing are inlined around the real policy-hook calls, operating
-        on the live tag/dirty rows; counters accumulate in locals and
-        flush into the model objects on exit. An LLC telemetry tap, when
-        attached, is called where :meth:`~repro.mem.cache.Cache.access`
-        and ``fill`` would call it. Float operations (``cycle +=
-        gap/width``, stall bumps to a completion cycle) execute in
-        exactly the reference order, so cycle counts match to the last
-        bit.
+        timing are inlined around the LLC policy's own hooks, bound once
+        per call, operating on the live tag/dirty rows. Counters
+        accumulate in locals and flush into the model objects on exit;
+        the policy's state stays on the policy throughout. An LLC
+        telemetry tap, when attached, is called where
+        :meth:`~repro.mem.cache.Cache.access` and ``fill`` would call
+        it. Float operations (``cycle += gap/width``, stall bumps to a
+        completion cycle) execute in exactly the reference order, so
+        cycle counts match to the last bit.
         """
         llc = hierarchy.llc
         dram = hierarchy.dram
@@ -1032,15 +584,10 @@ class BatchPlan:
         free_ways = cell.free_ways
         tap = llc._telemetry
         policy = llc.policy
-        specialized = _specialized_hooks(policy)
-        if specialized is None:
-            on_hit = policy.on_hit
-            on_fill = policy.on_fill
-            on_eviction = policy.on_eviction
-            find_victim = policy.find_victim
-            check_in = None
-        else:
-            on_hit, on_fill, on_eviction, find_victim, check_in = specialized
+        on_hit = policy.on_hit
+        on_fill = policy.on_fill
+        on_eviction = policy.on_eviction
+        find_victim = policy.find_victim
         s_dacc = s_dhits = s_wbacc = s_wbhits = 0
         s_evict = s_devict = s_bypass = 0
         s_pkm = [0, 0, 0, 0, 0]
@@ -1285,8 +832,6 @@ class BatchPlan:
                     if rt == ring_n:
                         rt = 0
 
-        if check_in is not None:
-            check_in()
         cell.cycle = cycle
         cell.rh = rh
         cell.rt = rt

@@ -32,6 +32,7 @@ class LRUPolicy(ReplacementPolicy):
         self._stamp = [0] * (num_sets * num_ways)
         self._clock = 0
 
+    # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
         # The first way holding the set's smallest stamp.
         base = set_index * self.num_ways
@@ -39,15 +40,17 @@ class LRUPolicy(ReplacementPolicy):
         stamps = self._stamp
         return stamps.index(min(stamps[base:end]), base, end) - base
 
-    def _touch(self, set_index: int, way: int) -> None:
-        self._clock += 1
-        self._stamp[set_index * self.num_ways + way] = self._clock
-
+    # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._touch(set_index, way)
+        clock = self._clock + 1
+        self._clock = clock
+        self._stamp[set_index * self.num_ways + way] = clock
 
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._touch(set_index, way)
+        clock = self._clock + 1
+        self._clock = clock
+        self._stamp[set_index * self.num_ways + way] = clock
 
     def snapshot_state(self) -> dict[str, object]:
         # Clock minus the globally oldest stamp bounds how stale the

@@ -125,7 +125,11 @@ class DIPPolicy(BIPPolicy):
         return 0
 
     def record_demand_miss(self, set_index: int) -> None:
-        """PSEL update on a demand miss in a leader set."""
+        """PSEL update for a demand miss in a leader set.
+
+        No cache calls this: :meth:`on_fill` does, for every demand
+        fill (a demand miss), before the insertion decision reads PSEL.
+        """
         role = self._leader[set_index]
         if role > 0 and self._psel < self._psel_max:
             self._psel += 1

@@ -141,55 +141,66 @@ class GliderPolicy(ReplacementPolicy):
 
     # -- replacement hooks --------------------------------------------------------
 
+    # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
         rrpv = self._rrpv[set_index]
-        for way in range(self.num_ways):
-            if rrpv[way] == HAWKEYE_RRPV_MAX:
-                return way
-        victim = 0
-        max_rrpv = rrpv[0]
-        for way in range(1, self.num_ways):
-            if rrpv[way] > max_rrpv:
-                max_rrpv = rrpv[way]
-                victim = way
+        if HAWKEYE_RRPV_MAX in rrpv:
+            return rrpv.index(HAWKEYE_RRPV_MAX)
+        victim = rrpv.index(max(rrpv))
         if self._line_friendly[set_index][victim]:
             # Evicting a line we promised to keep: detrain its features.
             self._train(self._line_features[set_index][victim], opt_hit=False)
         return victim
 
-    def _touch(self, set_index: int, way: int, access: PolicyAccess, is_fill: bool) -> None:
+    # hot
+    def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
         if access.kind == _KIND_WRITEBACK:
             self._line_friendly[set_index][way] = False
             self._line_features[set_index][way] = (0, ())
             self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
             return
-        features = self._features(access.pc)
+        pc = access.pc
+        features = self._features(pc)
+        # _sample may train the ISVM, so the prediction reads the
+        # weights only after it.
         self._sample(set_index, access, features)
         total = self._sum(features)
-        self._push_history(access.pc)
+        self._push_history(pc)
         self._line_features[set_index][way] = features
         if total < THRESHOLD_AVERSE:
             self._line_friendly[set_index][way] = False
             self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
-            if is_fill:
-                self.stat_averse_fills += 1
             return
         self._line_friendly[set_index][way] = True
-        if is_fill:
-            self.stat_friendly_fills += 1
-            rrpv = self._rrpv[set_index]
-            for w in range(self.num_ways):
-                if w != way and rrpv[w] < HAWKEYE_RRPV_MAX - 1:
-                    rrpv[w] += 1
         # High-confidence friendly lines are pinned at 0; low-confidence
         # ones start slightly aged so they yield to confident lines.
         self._rrpv[set_index][way] = 0 if total >= THRESHOLD_CONFIDENT else 2
 
-    def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._touch(set_index, way, access, is_fill=False)
-
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._touch(set_index, way, access, is_fill=True)
+        if access.kind == _KIND_WRITEBACK:
+            self._line_friendly[set_index][way] = False
+            self._line_features[set_index][way] = (0, ())
+            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            return
+        pc = access.pc
+        features = self._features(pc)
+        self._sample(set_index, access, features)
+        total = self._sum(features)
+        self._push_history(pc)
+        self._line_features[set_index][way] = features
+        if total < THRESHOLD_AVERSE:
+            self._line_friendly[set_index][way] = False
+            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            self.stat_averse_fills += 1
+            return
+        self._line_friendly[set_index][way] = True
+        self.stat_friendly_fills += 1
+        rrpv = self._rrpv[set_index]
+        for w, value in enumerate(rrpv):
+            if w != way and value < HAWKEYE_RRPV_MAX - 1:
+                rrpv[w] += 1
+        rrpv[way] = 0 if total >= THRESHOLD_CONFIDENT else 2
 
     # -- warm-state protocol ------------------------------------------------------
 

@@ -87,32 +87,30 @@ class HawkeyePolicy(ReplacementPolicy):
 
     # -- replacement hooks ------------------------------------------------------
 
+    # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
         rrpv = self._rrpv[set_index]
-        for way in range(self.num_ways):
-            if rrpv[way] == HAWKEYE_RRPV_MAX:
-                return way
+        if HAWKEYE_RRPV_MAX in rrpv:
+            return rrpv.index(HAWKEYE_RRPV_MAX)
         # No cache-averse line: evict the oldest friendly line and detrain
         # its PC — the predictor said "keep", OPT-in-hindsight disagrees.
-        victim = 0
-        max_rrpv = rrpv[0]
-        for way in range(1, self.num_ways):
-            if rrpv[way] > max_rrpv:
-                max_rrpv = rrpv[way]
-                victim = way
+        victim = rrpv.index(max(rrpv))
         if self._line_friendly[set_index][victim]:
             self._detrain(self._line_pc[set_index][victim])
         return victim
 
+    # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._sample(set_index, access)
         if access.kind == _KIND_WRITEBACK:
             return
-        friendly = self._predict_friendly(access.pc)
+        pc = access.pc
+        friendly = self._predict_friendly(pc)
         self._line_friendly[set_index][way] = friendly
-        self._line_pc[set_index][way] = access.pc
+        self._line_pc[set_index][way] = pc
         self._rrpv[set_index][way] = 0 if friendly else HAWKEYE_RRPV_MAX
 
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._sample(set_index, access)
         if access.kind == _KIND_WRITEBACK:
@@ -121,21 +119,22 @@ class HawkeyePolicy(ReplacementPolicy):
             self._line_pc[set_index][way] = 0
             self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
             return
-        friendly = self._predict_friendly(access.pc)
+        pc = access.pc
+        friendly = self._predict_friendly(pc)
         self._line_friendly[set_index][way] = friendly
-        self._line_pc[set_index][way] = access.pc
+        self._line_pc[set_index][way] = pc
+        rrpv = self._rrpv[set_index]
         if friendly:
             self.stat_friendly_fills += 1
             # Age every other line so relative insertion order among
             # friendly lines is preserved (the reference's saturating age).
-            rrpv = self._rrpv[set_index]
-            for w in range(self.num_ways):
-                if w != way and rrpv[w] < HAWKEYE_RRPV_MAX - 1:
+            for w, value in enumerate(rrpv):
+                if w != way and value < HAWKEYE_RRPV_MAX - 1:
                     rrpv[w] += 1
             rrpv[way] = 0
         else:
             self.stat_averse_fills += 1
-            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            rrpv[way] = HAWKEYE_RRPV_MAX
 
     # -- warm-state protocol ------------------------------------------------------
 

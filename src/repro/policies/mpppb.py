@@ -110,11 +110,13 @@ class MPPPBPolicy(ReplacementPolicy):
                 if self._weights[i][f] > WEIGHT_MIN:
                     self._weights[i][f] -= 1
 
-    def _is_sampled(self, set_index: int) -> bool:
-        return set_index % SAMPLE_STRIDE == 0
-
     # -- replacement hooks ----------------------------------------------------------
+    #
+    # Only every SAMPLE_STRIDE-th set trains: there, each line keeps the
+    # features of its last touch, so a hit trains them live and an
+    # eviction without reuse trains them dead.
 
+    # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
         # Bypass dead-on-arrival demand fills (never bypass writebacks: the
         # block must land somewhere to preserve its dirty data).
@@ -123,25 +125,21 @@ class MPPPBPolicy(ReplacementPolicy):
             if self._sum(features) >= THETA_BYPASS:
                 self.stat_bypasses += 1
                 return BYPASS
-        # Prefer a predicted-dead line; fall back to LRU.
+        # Prefer the least recently touched predicted-dead line; fall back
+        # to LRU.
         dead = self._line_dead[set_index]
         stamps = self._stamp[set_index]
-        victim = -1
-        oldest = None
-        for way in range(self.num_ways):
-            if dead[way] and (oldest is None or stamps[way] < oldest):
-                victim = way
-                oldest = stamps[way]
-        if victim >= 0:
+        if True in dead:
+            victim = -1
+            oldest = 0
+            for way, is_dead in enumerate(dead):
+                if is_dead and (victim < 0 or stamps[way] < oldest):
+                    victim = way
+                    oldest = stamps[way]
             return victim
-        victim = 0
-        oldest = stamps[0]
-        for way in range(1, self.num_ways):
-            if stamps[way] < oldest:
-                oldest = stamps[way]
-                victim = way
-        return victim
+        return stamps.index(min(stamps))
 
+    # hot
     def _touch(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._clock += 1
         self._stamp[set_index][way] = self._clock
@@ -152,25 +150,28 @@ class MPPPBPolicy(ReplacementPolicy):
             return
         features = self._features(access)
         self._line_dead[set_index][way] = self._sum(features) >= THETA_DEAD
-        if self._is_sampled(set_index):
+        if not set_index % SAMPLE_STRIDE:
             self._line_features[set_index][way] = features
         self._pc_history.append(access.pc)
 
+    # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        if self._is_sampled(set_index):
+        if not set_index % SAMPLE_STRIDE:
             prior = self._line_features[set_index][way]
             if prior is not None:
                 self._train(prior, dead=False)  # the line was reused: live
         self._line_reused[set_index][way] = True
         self._touch(set_index, way, access)
 
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self.stat_fills += 1
         self._line_reused[set_index][way] = False
         self._touch(set_index, way, access)
 
+    # hot
     def on_eviction(self, set_index: int, way: int, victim_block: int) -> None:
-        if self._is_sampled(set_index):
+        if not set_index % SAMPLE_STRIDE:
             prior = self._line_features[set_index][way]
             if prior is not None and not self._line_reused[set_index][way]:
                 self._train(prior, dead=True)  # evicted untouched: dead

@@ -14,9 +14,11 @@ component selected by the standard complement-select scheme.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ..trace.record import AccessKind
 from .base import PolicyAccess, ReplacementPolicy
+
+_KIND_PREFETCH = int(AccessKind.PREFETCH)
+_KIND_WRITEBACK = int(AccessKind.WRITEBACK)
 
 #: Width of the re-reference prediction value in bits.
 RRPV_BITS = 2
@@ -41,23 +43,22 @@ class SRRIPPolicy(ReplacementPolicy):
         super().initialize(num_sets, num_ways)
         self._rrpv = [[RRPV_MAX] * num_ways for _ in range(num_sets)]
 
+    # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
+        # Age the whole set until some line is distant; evict the first.
         rrpv = self._rrpv[set_index]
-        while True:
-            for way in range(self.num_ways):
-                if rrpv[way] == RRPV_MAX:
-                    return way
+        while RRPV_MAX not in rrpv:
             for way in range(self.num_ways):
                 rrpv[way] += 1
+        return rrpv.index(RRPV_MAX)
 
+    # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._rrpv[set_index][way] = 0
 
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._rrpv[set_index][way] = self._insertion_rrpv(set_index, access)
-
-    def _insertion_rrpv(self, set_index: int, access: PolicyAccess) -> int:
-        return RRPV_MAX - 1
+        self._rrpv[set_index][way] = RRPV_MAX - 1
 
     def checkpoint_tables(self) -> dict[str, object]:
         # SRRIP's only state is per-line RRPVs, which the sampling
@@ -86,19 +87,17 @@ class BRRIPPolicy(SRRIPPolicy):
 
     name = "brrip"
 
-    def __init__(self, seed: int = 0xB1D) -> None:
-        super().__init__()
-        self._seed = seed
-
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
         self._fill_count = 0
 
-    def _insertion_rrpv(self, set_index: int, access: PolicyAccess) -> int:
+    # hot
+    def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._fill_count += 1
         if self._fill_count % BRRIP_LONG_PERIOD == 0:
-            return RRPV_MAX - 1
-        return RRPV_MAX
+            self._rrpv[set_index][way] = RRPV_MAX - 1
+        else:
+            self._rrpv[set_index][way] = RRPV_MAX
 
     def checkpoint_tables(self) -> dict[str, object]:
         tables = super().checkpoint_tables()
@@ -161,35 +160,30 @@ class DRRIPPolicy(SRRIPPolicy):
             return -1
         return 0
 
-    def record_demand_miss(self, set_index: int) -> None:
-        """PSEL update: called by the cache on every demand miss."""
+    def _insertion_rrpv(self, set_index: int, access: PolicyAccess) -> int:
         role = self._leader[set_index]
-        if role > 0 and self._psel < self._psel_max:
-            self._psel += 1
-        elif role < 0 and self._psel > 0:
-            self._psel -= 1
-
-    def _brrip_insertion(self) -> int:
+        # SRRIP leaders, and followers while PSEL says SRRIP leaders
+        # miss less, insert long; the rest insert like BRRIP.
+        if role > 0 or (role == 0 and self._psel < (self._psel_max + 1) // 2):
+            return RRPV_MAX - 1
         self._fill_count += 1
         if self._fill_count % BRRIP_LONG_PERIOD == 0:
             return RRPV_MAX - 1
         return RRPV_MAX
 
-    def _insertion_rrpv(self, set_index: int, access: PolicyAccess) -> int:
-        role = self._leader[set_index]
-        if role > 0:
-            return RRPV_MAX - 1  # SRRIP leader
-        if role < 0:
-            return self._brrip_insertion()  # BRRIP leader
-        # Follower: low PSEL means SRRIP leaders miss less.
-        if self._psel < (self._psel_max + 1) // 2:
-            return RRPV_MAX - 1
-        return self._brrip_insertion()
-
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        if not access.is_writeback and not access.is_prefetch:
-            self.record_demand_miss(set_index)
-        super().on_fill(set_index, way, access)
+        # A demand fill is a demand miss: in a leader set it moves PSEL,
+        # before the insertion decision reads it.
+        kind = access.kind
+        if kind != _KIND_WRITEBACK and kind != _KIND_PREFETCH:
+            role = self._leader[set_index]
+            if role > 0:
+                if self._psel < self._psel_max:
+                    self._psel += 1
+            elif role < 0 and self._psel > 0:
+                self._psel -= 1
+        self._rrpv[set_index][way] = self._insertion_rrpv(set_index, access)
 
     def checkpoint_tables(self) -> dict[str, object]:
         tables = super().checkpoint_tables()

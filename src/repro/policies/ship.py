@@ -15,8 +15,11 @@ ChampSim's ``ship`` replacement: 14-bit signatures (16K-entry SHCT) and
 
 from __future__ import annotations
 
+from ..trace.record import AccessKind
 from .base import PolicyAccess, ReplacementPolicy
 from .rrip import RRPV_MAX
+
+_KIND_WRITEBACK = int(AccessKind.WRITEBACK)
 
 SIGNATURE_BITS = 14
 SHCT_SIZE = 1 << SIGNATURE_BITS
@@ -43,17 +46,18 @@ class SHiPPolicy(ReplacementPolicy):
         self._line_valid = [[False] * num_ways for _ in range(num_sets)]
         self._shct = [SHCT_MAX // 2 + 1] * SHCT_SIZE  # weakly reusable start
 
+    # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
+        # SRRIP's victim search: age the set until some line is distant.
         rrpv = self._rrpv[set_index]
-        while True:
-            for way in range(self.num_ways):
-                if rrpv[way] == RRPV_MAX:
-                    return way
+        while RRPV_MAX not in rrpv:
             for way in range(self.num_ways):
                 rrpv[way] += 1
+        return rrpv.index(RRPV_MAX)
 
+    # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        if access.is_writeback:
+        if access.kind == _KIND_WRITEBACK:
             # Writeback touches carry no PC and are invisible to the
             # predictor in the ChampSim reference: neither promote the
             # line nor train the SHCT on them.
@@ -65,6 +69,7 @@ class SHiPPolicy(ReplacementPolicy):
             if self._shct[sig] < SHCT_MAX:
                 self._shct[sig] += 1
 
+    # hot
     def on_eviction(self, set_index: int, way: int, victim_block: int) -> None:
         if self._line_valid[set_index][way] and not self._line_reused[set_index][way]:
             sig = self._line_sig[set_index][way]
@@ -72,12 +77,13 @@ class SHiPPolicy(ReplacementPolicy):
                 self._shct[sig] -= 1
         self._line_valid[set_index][way] = False
 
+    # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         sig = pc_signature(access.pc)
         self._line_sig[set_index][way] = sig
         self._line_reused[set_index][way] = False
         self._line_valid[set_index][way] = True
-        if access.is_writeback:
+        if access.kind == _KIND_WRITEBACK:
             # Writebacks carry no PC; insert at distant RRPV, as in the
             # ChampSim reference, so they cannot pollute the SHCT.
             self._rrpv[set_index][way] = RRPV_MAX

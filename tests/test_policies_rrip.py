@@ -112,16 +112,27 @@ class TestDRRIP:
         assert p._leader[1] == -1
 
     def test_psel_saturates(self):
+        # A demand fill is a demand miss: in a leader set it moves PSEL.
         p = DRRIPPolicy()
         p.initialize(1024, 16)
+        load = PolicyAccess(0, 0x40, LOAD)
         srrip_leader = p._leader.index(1)
         for _ in range(2000):
-            p.record_demand_miss(srrip_leader)
+            p.on_fill(srrip_leader, 0, load)
         assert p._psel == p._psel_max
         brrip_leader = p._leader.index(-1)
         for _ in range(3000):
-            p.record_demand_miss(brrip_leader)
+            p.on_fill(brrip_leader, 0, load)
         assert p._psel == 0
+
+    def test_writeback_and_prefetch_fills_leave_psel_alone(self):
+        p = DRRIPPolicy()
+        p.initialize(1024, 16)
+        start = p._psel
+        for kind in (AccessKind.WRITEBACK, AccessKind.PREFETCH):
+            for role in (1, -1):
+                p.on_fill(p._leader.index(role), 0, PolicyAccess(0, 0, kind))
+        assert p._psel == start
 
     def test_followers_adopt_winning_component(self):
         p = DRRIPPolicy()

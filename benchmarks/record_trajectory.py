@@ -1,28 +1,34 @@
 #!/usr/bin/env python
 """Record a sweep-throughput entry in the checked-in perf trajectory.
 
-Runs the smoke fig2/fig3 sweep matrix (every GAP + SPEC proxy workload
-x every paper policy, at the ``REPRO_SMOKE`` scales) once per engine —
-the per-cell fast path and the batched multi-cell engine — with the
-result cache disabled, and appends a schema-versioned entry to
-``BENCH_sweep.json`` at the repository root:
+Times the smoke fig2/fig3 sweep matrix (every GAP + SPEC proxy workload
+x every paper policy, at the ``REPRO_SMOKE`` scales) on two sides — the
+per-cell fast engine and the batched multi-cell engine — with no result
+cache, and appends a schema-versioned entry to ``BENCH_sweep.json`` at
+the repository root:
 
 * git SHA and UTC date of the measurement,
 * per-engine wall-clock and cells/second for the identical matrix,
 * the batched-over-fast wall-clock speed-up.
+
+The ``fast`` side runs ``simulate(engine="fast")`` cell by cell, which
+is what a ``fast`` sweep at one job ran before sweeps batched by
+default; the ``batched`` side runs a default serial ``SweepEngine``
+sweep of each trace. The two sides alternate trace by trace, so host
+drift during the minutes-long measurement taxes both alike.
 
 The file is the project's canonical performance trajectory (linked from
 README/ROADMAP): every CI benchmarks run appends the current commit's
 numbers and ``check_regression.py --trajectory`` gates them against the
 last checked-in entry, so a throughput regression (or a batched engine
 that quietly stops being faster) fails the build instead of eroding
-silently. Because both engines run in the same process on the same
+silently. Because both sides run in the same process on the same
 machine, the *ratio* is robust to host speed even though the absolute
 cells/second are not.
 
 Usage::
 
-    REPRO_SMOKE=1 python benchmarks/record_trajectory.py --jobs 1
+    REPRO_SMOKE=1 python benchmarks/record_trajectory.py
     python benchmarks/check_regression.py --trajectory
 
 Appends are guarded (``recording_guard``): a dirty working tree or an
@@ -30,11 +36,10 @@ existing entry for the same commit at the same matrix shape refuses the
 recording — either would poison the trajectory's latest-vs-previous
 comparison — unless ``--force`` is given.
 
-The gated quantity is the *ratio*, so the trajectory is recorded at
-``--jobs 1`` by default even on multi-core hosts: serial runs keep the
-two engines' wall-clocks free of process-pool startup and per-worker
-trace-registry transfer, a fixed absolute cost that would dent the
-(much shorter) batched wall-clock disproportionately.
+Everything runs serially in this process: the gated quantity is the
+*ratio*, and process-pool startup and per-worker trace transfer are a
+fixed absolute cost that would dent the (much shorter) batched
+wall-clock disproportionately.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ ENTRY_SCHEMA = 1
 #: different scale or matrix is allowed, an identical one is refused.
 SHAPE_KEYS = ("smoke", "scale", "matrix")
 
-#: Engines measured per entry, in run order. The fast per-cell engine
-#: runs first so its wall-clock is the denominator of the speed-up.
+#: Engines measured per entry. The fast per-cell engine's wall-clock is
+#: the numerator of the speed-up.
 MEASURED_ENGINES = ("fast", "batched")
 
 
@@ -96,17 +101,13 @@ def _smoke_matrix() -> tuple[dict, list[str]]:
     return traces, policies
 
 
-def expected_shape(jobs: int) -> dict:
+def expected_shape() -> dict:
     """The shape the next entry will record, computed before measuring.
 
     Matches the ``SHAPE_KEYS`` fields :func:`measure` writes, so the
     duplicate-recording guard can refuse *before* the (minutes-long)
-    measurement runs. ``jobs`` is accepted for signature symmetry but is
-    deliberately not part of the shape: re-recording the same commit at
-    a different ``--jobs`` still overwrites the gated ratio, so it is
-    just as much a duplicate.
+    measurement runs.
     """
-    del jobs
     from repro.harness.experiments import (
         effective_gap_scale,
         effective_gap_window,
@@ -130,7 +131,32 @@ def expected_shape(jobs: int) -> dict:
     }
 
 
-def measure(jobs: int, repeats: int = 2) -> dict:
+def _time_side(name: str, workload: str, trace, policies: list[str], config) -> float:
+    """Wall-clock seconds of one trace's cells on one side."""
+    from repro.core.simulator import simulate
+    from repro.harness.engine import SweepEngine
+
+    started = time.perf_counter()
+    if name == "fast":
+        for policy in policies:
+            simulate(trace, config=config, llc_policy=policy, engine="fast")
+        simulated = len(policies)
+    else:
+        outcome = SweepEngine(cache_dir=None, jobs=1).run(
+            {workload: trace}, policies, config=config
+        )
+        simulated = outcome.stats.simulated
+    wall = time.perf_counter() - started
+    if simulated != len(policies):
+        raise RuntimeError(
+            f"engine {name!r} simulated {simulated} of {len(policies)} "
+            f"cells of {workload} — trajectory numbers would not be "
+            "comparable"
+        )
+    return wall
+
+
+def measure(repeats: int = 2) -> dict:
     """One trajectory entry: the smoke matrix timed under each engine.
 
     Caching is disabled so the numbers measure simulation throughput,
@@ -138,14 +164,14 @@ def measure(jobs: int, repeats: int = 2) -> dict:
     timer starts so workload generation is excluded from both engines
     equally.
 
-    Each engine is timed ``repeats`` times and the entry keeps the
-    *minimum* wall-clock — the standard estimator of un-contended run
+    The sides alternate trace by trace, and which side goes first flips
+    from one trace (and one repeat) to the next. Each trace is timed
+    ``repeats`` times per side and an engine's wall-clock is the sum of
+    its per-trace *minima* — the standard estimator of un-contended run
     time, since interference (host contention, thermal throttling, a
-    noisy CI neighbour) only ever adds time. Runs alternate engine
-    order so a machine that slows down over the measurement cannot
-    systematically tax whichever engine runs last.
+    noisy CI neighbour) only ever adds time.
     """
-    from repro.harness.engine import SweepEngine
+    from repro.core.config import cascade_lake
     from repro.harness.experiments import (
         effective_gap_scale,
         effective_gap_window,
@@ -154,8 +180,10 @@ def measure(jobs: int, repeats: int = 2) -> dict:
     )
 
     traces, policies = _smoke_matrix()
+    config = cascade_lake()
     cells = len(traces) * len(policies)
-    best: dict[str, float] = {}
+    repeats = max(1, repeats)
+    best: dict[tuple[str, str], float] = {}
     # Both engines run with the cyclic garbage collector off: the
     # generational GC repeatedly re-traverses every long-lived container
     # (the batched engine's plans alone hold millions of tuples), which
@@ -166,34 +194,35 @@ def measure(jobs: int, repeats: int = 2) -> dict:
     gc.collect()
     gc.disable()
     try:
-        for rep in range(max(1, repeats)):
-            order = MEASURED_ENGINES if rep % 2 == 0 else MEASURED_ENGINES[::-1]
-            for name in order:
-                sweep = SweepEngine(cache_dir=None, jobs=jobs)
-                started = time.perf_counter()
-                outcome = sweep.run(traces, policies, engine=name)
-                wall = time.perf_counter() - started
-                if outcome.stats.simulated != cells:
-                    raise RuntimeError(
-                        f"engine {name!r} simulated "
-                        f"{outcome.stats.simulated} of {cells} cells — "
-                        "trajectory numbers would not be comparable"
-                    )
-                best[name] = min(wall, best.get(name, wall))
-                print(
-                    f"  engine={name}: {cells} cells in {wall:.1f}s "
-                    f"({cells / wall:.2f} cells/s, jobs={jobs}, "
-                    f"run {rep + 1}/{max(1, repeats)})",
-                    file=sys.stderr,
+        for rep in range(repeats):
+            for index, (workload, trace) in enumerate(traces.items()):
+                order = (
+                    MEASURED_ENGINES if (index + rep) % 2 == 0
+                    else MEASURED_ENGINES[::-1]
                 )
-                gc.collect()
+                for name in order:
+                    wall = _time_side(name, workload, trace, policies, config)
+                    key = (name, workload)
+                    best[key] = min(wall, best.get(key, wall))
+                    gc.collect()
+            totals = {
+                name: sum(best[(name, w)] for w in traces)
+                for name in MEASURED_ENGINES
+            }
+            progress = ", ".join(
+                f"engine={name} {totals[name]:.1f}s "
+                f"({cells / totals[name]:.2f} cells/s)"
+                for name in MEASURED_ENGINES
+            )
+            print(f"  best of {rep + 1}/{repeats} runs: {progress}",
+                  file=sys.stderr)
     finally:
         if gc_was_enabled:
             gc.enable()
     engines = {
         name: {
-            "wall_s": round(best[name], 3),
-            "cells_per_sec": round(cells / best[name], 3),
+            "wall_s": round(totals[name], 3),
+            "cells_per_sec": round(cells / totals[name], 3),
         }
         for name in MEASURED_ENGINES
     }
@@ -202,8 +231,8 @@ def measure(jobs: int, repeats: int = 2) -> dict:
         "git_sha": _git_sha(),
         "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "smoke": smoke_mode(),
-        "jobs": jobs,
-        "repeats": max(1, repeats),
+        "jobs": 1,
+        "repeats": repeats,
         "scale": {
             "gap_window": effective_gap_window(),
             "gap_scale": effective_gap_scale(),
@@ -248,13 +277,9 @@ def append_entry(path: Path, entry: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes per sweep (default 1: the gated speed-up "
-        "ratio is cleanest serial — see the module docstring)",
-    )
-    parser.add_argument(
         "--repeats", type=int, default=2,
-        help="timed runs per engine; the entry keeps the minimum (default 2)",
+        help="timed runs per trace and engine; the entry sums the "
+        "per-trace minima (default 2)",
     )
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_TRAJECTORY,
@@ -270,20 +295,19 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, str(BENCH_DIR))
     from recording_guard import RecordingGuardError, guard_append
 
-    jobs = max(1, args.jobs)
     try:
         guard_append(
             args.output,
             load_trajectory(args.output).get("entries", []),
             _git_sha(),
-            expected_shape(jobs),
+            expected_shape(),
             SHAPE_KEYS,
             force=args.force,
         )
     except RecordingGuardError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    entry = measure(jobs=jobs, repeats=max(1, args.repeats))
+    entry = measure(repeats=args.repeats)
     append_entry(args.output, entry)
     print(
         f"appended entry for {entry['git_sha'][:12]} to {args.output} "

@@ -336,9 +336,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     stats = matrix.sweep_stats
     if stats is not None:
         resumed = f", {stats.resumed} resumed" if stats.resumed else ""
+        fallbacks = (
+            f", {stats.fallbacks} fell back to per-cell"
+            if stats.fallbacks else ""
+        )
         print(
             f"engine: {stats.cells} cells, {stats.hits} from cache, "
-            f"{stats.simulated} simulated{resumed} ({args.jobs} jobs)",
+            f"{stats.simulated} simulated{resumed}{fallbacks} "
+            f"({args.jobs} jobs)",
             file=sys.stderr,
         )
     if matrix.run_id is not None:
@@ -635,9 +640,11 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("--engine", default="fast",
                          choices=("fast", "reference", "batched"),
                          help="simulation engine for uncached cells: "
-                              "'batched' shares one decoded access stream "
-                              "across all eligible policies per workload "
-                              "(default: fast; all bit-identical)")
+                              "'fast' (default; 'batched' is a synonym) "
+                              "runs each workload's eligible policies "
+                              "against one shared batch plan and the rest "
+                              "cell by cell; 'reference' runs every cell "
+                              "on the reference loop (all bit-identical)")
     p_sweep.add_argument("--sampling", metavar="SPEC", default=None,
                          help="run cells under representative-interval "
                               "sampling; SPEC is 'default' or "

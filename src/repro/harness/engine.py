@@ -20,12 +20,16 @@ parallel and perfectly cacheable. :class:`SweepEngine` exploits both:
 * **Failure isolation** — with ``isolate_failures=True`` a crashing cell
   records a structured :class:`CellError` and the rest of the matrix
   completes; failed cells are never cached, so a re-run retries them.
-* **One execution path** — every uncached cell, and every batch group
-  of the batched engine, runs through
-  :class:`~repro.resilience.executor.ResilientExecutor`, in process or
-  in a worker pool. A sweep without a retry policy runs under
-  :data:`SINGLE_ATTEMPT`, so failure classification, poison isolation,
-  the failure report and shutdown behave the same at any ``jobs``.
+* **One optimized path** — uncached cells run in per-trace batch units
+  (:mod:`repro.mem.batch`: one shared plan per trace, one replay per
+  policy); only what a unit leaves unfinished, and sanitize, chaos,
+  sampled and ``engine="reference"`` sweeps, run cell by cell.
+* **One execution path** — every batch unit and every per-cell cell
+  runs through :class:`~repro.resilience.executor.ResilientExecutor`,
+  in process or in a worker pool. A sweep without a retry policy runs
+  under :data:`SINGLE_ATTEMPT`, so failure classification, poison
+  isolation, the failure report and shutdown behave the same at any
+  ``jobs``.
 
 :func:`repro.harness.runner.run_matrix` routes through a default engine
 configured from the environment (``REPRO_JOBS``, ``REPRO_CACHE_DIR``),
@@ -45,7 +49,7 @@ import time
 import traceback as traceback_module
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -292,6 +296,10 @@ class SweepStats:
     #: of ``hits``: their results come back from the cache). 0 for fresh
     #: runs and journal-less sweeps.
     resumed: int = 0
+    #: Cells the batched pass handed to the per-cell phase: ineligible
+    #: policies, plan or replay failures, and the cells of a unit that
+    #: timed out, breached its memory budget or lost its worker.
+    fallbacks: int = 0
 
     @property
     def cells(self) -> int:
@@ -816,8 +824,9 @@ def _simulate_group(
     config: MachineConfig,
     warmup_fraction: float,
     telemetry: TelemetryConfig | None = None,
+    memory_budget_mb: float | None = None,
 ) -> tuple[str, list[tuple[str, bool, SimulationResult | None]]]:
-    """Worker entry point: one trace's cells through a shared batch plan.
+    """Worker entry point: one batch unit, a trace's cells on a shared plan.
 
     Builds one :class:`~repro.mem.batch.BatchPlan` and replays every
     batch-eligible policy against it. Returns per-policy outcomes as
@@ -825,7 +834,10 @@ def _simulate_group(
     or whose batched attempt raised, come back ``completed=False`` so
     the engine can route them through the ordinary per-cell machinery
     (with its own failure classification and retry semantics) instead of
-    failing the whole group.
+    failing the whole unit. ``memory_budget_mb`` arms the RSS watchdog
+    over the whole unit, as :func:`_simulate_cell` does over one cell: a
+    breach raises :class:`~repro.errors.MemoryBudgetError` out of the
+    unit, whose cells then fall back.
     """
     from ..core.simulator import build_hierarchy
     from ..mem.batch import BatchSimulator
@@ -834,28 +846,32 @@ def _simulate_group(
     sim: BatchSimulator | None = None
     plan_failed = False
     outcomes: list[tuple[str, bool, SimulationResult | None]] = []
-    for policy in policies:
-        try:
-            hierarchy = build_hierarchy(config, policy)
-            if plan_failed or not fastpath_eligible(hierarchy, trace):
-                outcomes.append((policy, False, None))
-                continue
-            if sim is None:
-                try:
-                    sim = BatchSimulator(trace, config, warmup_fraction, telemetry)
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    # Plan construction is shared state: if it fails once
-                    # it fails for every policy, so stop re-attempting.
-                    plan_failed = True
+    with memory_guard(memory_budget_mb):
+        for policy in policies:
+            try:
+                hierarchy = build_hierarchy(config, policy)
+                if plan_failed or not fastpath_eligible(hierarchy, trace):
                     outcomes.append((policy, False, None))
                     continue
-            outcomes.append((policy, True, sim.run_cell(policy, hierarchy)))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            outcomes.append((policy, False, None))
+                if sim is None:
+                    try:
+                        sim = BatchSimulator(
+                            trace, config, warmup_fraction, telemetry
+                        )
+                    except (KeyboardInterrupt, SystemExit):
+                        raise
+                    except Exception:
+                        # Plan construction is shared state: if it fails
+                        # once it fails for every policy, so stop
+                        # re-attempting.
+                        plan_failed = True
+                        outcomes.append((policy, False, None))
+                        continue
+                outcomes.append((policy, True, sim.run_cell(policy, hierarchy)))
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception:
+                outcomes.append((policy, False, None))
     return workload, outcomes
 
 
@@ -865,6 +881,7 @@ def _simulate_group_by_name(
     config: MachineConfig,
     warmup_fraction: float,
     telemetry: TelemetryConfig | None = None,
+    memory_budget_mb: float | None = None,
 ) -> tuple[str, list[tuple[str, bool, SimulationResult | None]]]:
     """Group worker entry resolving the trace from the worker registry."""
     trace = _WORKER_TRACES.get(workload)
@@ -874,7 +891,8 @@ def _simulate_group_by_name(
             "was the pool created without the trace initializer?"
         )
     return _simulate_group(
-        workload, policies, trace, config, warmup_fraction, telemetry
+        workload, policies, trace, config, warmup_fraction, telemetry,
+        memory_budget_mb,
     )
 
 
@@ -886,8 +904,8 @@ class SweepEngine:
     cache_dir:
         Root of the on-disk result cache; ``None`` disables caching.
     jobs:
-        Worker processes for cells that must be simulated. ``1`` (the
-        default) runs serially in-process.
+        Worker processes for the batch units and cells that must be
+        simulated. ``1`` (the default) runs serially in-process.
     salt:
         Override the simulator-version salt (tests use this to model a
         core change without editing source files).
@@ -1006,21 +1024,31 @@ class SweepEngine:
         :mod:`repro.resilience.chaos`); neither knob affects cell cache
         keys because neither changes what a *successful* cell computes.
 
-        ``engine`` selects the simulation engine for uncached cells:
-        ``"fast"`` (default) and ``"reference"`` run per cell;
-        ``"batched"`` (:mod:`repro.mem.batch`) groups cells by workload
-        and replays every batch-eligible policy against one shared
-        access-stream plan, falling back to the ordinary per-cell path
-        for ineligible or failed cells. All three are bit-identical, so
-        the engine choice is deliberately *not* part of the cache key.
-        The batched pass honours ``shutdown`` between groups.
+        ``engine`` selects the simulation engine for uncached cells.
+        ``"fast"`` (default; ``"batched"`` is a synonym) runs them in
+        per-trace batch units (:mod:`repro.mem.batch`): each unit
+        replays its batch-eligible policies against one shared
+        access-stream plan, and what a unit leaves unfinished
+        (ineligible or failed cells) falls back to the per-cell phase
+        on the fast engine. When fewer traces have pending cells than
+        ``jobs``, each trace's policies split into
+        ``ceil(jobs / traces)`` units so no worker idles. A unit gets
+        ``cell_timeout`` once per policy it holds, runs under
+        ``memory_budget_mb``, and hands its unfinished cells to the
+        per-cell phase when it times out, breaches the budget or loses
+        its worker; that phase classifies them. ``"reference"`` runs
+        every cell on the reference loop. Sanitize, chaos and sampled
+        sweeps skip the batched pass and run cell by cell. All paths
+        are bit-identical, so the engine choice is deliberately *not*
+        part of the cache key. The batched pass honours ``shutdown``
+        between units.
 
         ``sampling`` runs every cell under representative-interval
         sampling (:mod:`repro.sampling`); the spec *is* part of the
         cache key, because sampled cells are estimates. Sampled sweeps
         are bit-identical between serial and parallel execution (the
         plan is a pure function of trace and spec), skip the batched
-        group path (a batch plan replays every access by construction)
+        pass (a batch plan replays every access by construction)
         and refuse telemetry, sanitize and chaos, which all need the
         full access stream.
 
@@ -1198,19 +1226,33 @@ class SweepEngine:
             )
 
         retry = retry if retry is not None else SINGLE_ATTEMPT
+
+        def in_pool(units: int) -> bool:
+            # A hung or crashing in-process cell takes the sweep with it,
+            # so the watchdog and chaos injection need the pool even at
+            # jobs=1, and a retried sweep at jobs > 1 keeps a lone unit
+            # or cell there too: a worker-killing cell then ends up
+            # poisoned instead of taking the sweep down.
+            return (
+                retry.cell_timeout is not None
+                or chaos is not None
+                or (self.jobs > 1 and (units > 1 or retry.max_attempts > 1))
+            )
+
         finished = False
         try:
-            # Batched execution runs first and only handles what it can:
+            # The batched pass runs first and only handles what it can:
             # eligible cells complete through shared per-trace plans, the
             # rest stay pending for the per-cell phase below (which
             # preserves retry classification, chaos injection and
             # sanitizer semantics the batch path deliberately excludes).
             if (
-                engine == "batched" and pending and not sanitize
+                engine != "reference" and pending and not sanitize
                 and chaos is None and sampling is None
             ):
-                self._run_batched(
+                stats.fallbacks = self._run_batched(
                     pending, traces, config, warmup_fraction, telemetry,
+                    memory_budget_mb, retry.cell_timeout, in_pool,
                     record, shutdown, drain_timeout,
                 )
                 pending = [cell for cell in pending if cell not in resolved]
@@ -1227,16 +1269,7 @@ class SweepEngine:
                 shutdown=shutdown,
                 drain_timeout=drain_timeout,
             )
-            # A hung or crashing in-process cell takes the sweep with it,
-            # so the watchdog and chaos injection need the pool even at
-            # jobs=1, and a retried sweep at jobs > 1 keeps a lone
-            # pending cell there too: a worker-killing cell then ends up
-            # poisoned instead of taking the sweep down.
-            if pending and (
-                retry.cell_timeout is not None
-                or chaos is not None
-                or (self.jobs > 1 and (len(pending) > 1 or retry.max_attempts > 1))
-            ):
+            if pending and in_pool(len(pending)):
                 self._run_parallel(executor, pending)
             else:
                 executor.run_serial(pending)
@@ -1329,14 +1362,14 @@ class SweepEngine:
         )
 
     def _run_parallel(
-        self, executor: ResilientExecutor, pending: list[tuple[str, str]]
+        self, executor: ResilientExecutor, units: list[tuple[str, str]]
     ) -> None:
-        """Run the per-cell phase in a worker pool.
+        """Run one phase's work items (batch units or cells) in a pool.
 
-        A method of its own so that a profiler can time the pool phase
+        A method of its own so that a profiler can time the pool phases
         by name (the benchmark's traced mode wraps it).
         """
-        executor.run_pool(pending)
+        executor.run_pool(units)
 
     def _run_batched(
         self,
@@ -1345,61 +1378,81 @@ class SweepEngine:
         config: MachineConfig,
         warmup_fraction: float,
         telemetry: TelemetryConfig | None,
+        memory_budget_mb: float | None,
+        cell_timeout: float | None,
+        in_pool: Callable[[int], bool],
         record: Callable[[str, str, SimulationResult], None],
         shutdown: ShutdownCoordinator | None,
         drain_timeout: float,
-    ) -> None:
-        """Run pending cells through per-trace batch plans.
+    ) -> int:
+        """Run pending cells through per-trace batch units (see :meth:`run`).
 
-        Cells are grouped by workload and each group runs every
-        batch-eligible policy against one shared
-        :class:`~repro.mem.batch.BatchPlan` (trace decoded once, core +
-        upper-hierarchy work amortized across policies). Groups are the
-        executor's work items, under :data:`SINGLE_ATTEMPT`. Completed
-        cells are recorded (and checkpointed) immediately; everything a
-        group could not complete — ineligible policies, plan failures,
-        individual cell errors, a group that raised or lost its worker —
-        stays pending for the per-cell phase, which owns failure
-        classification and retries. A shutdown request stops the pass
-        between groups; the cells of groups that never started stay
-        unrun.
+        Each unit replays its batch-eligible policies against one shared
+        :class:`~repro.mem.batch.BatchPlan`. Units are the executor's
+        work items, under :data:`SINGLE_ATTEMPT` with ``cell_timeout``
+        once per policy of the largest unit; ``in_pool`` decides from
+        the unit count whether they run in a pool. Completed cells are
+        recorded (and checkpointed) at once; everything else stays
+        pending for the per-cell phase, which owns failure
+        classification and retries. Returns how many cells units handed
+        over that way; the cells of units that never ran (a shutdown
+        stops the pass between units) are not counted.
         """
         groups: dict[str, list[str]] = {}
         for workload, policy in pending:
             groups.setdefault(workload, []).append(policy)
+        parts = -(-self.jobs // len(groups))
+        units: dict[tuple[str, str], list[str]] = {}
+        for workload, policies in groups.items():
+            share = min(parts, len(policies))
+            for part in range(share):
+                units[(workload, str(part))] = policies[part::share]
+        largest = max(len(policies) for policies in units.values())
+        retry = replace(
+            SINGLE_ATTEMPT,
+            cell_timeout=None if cell_timeout is None else cell_timeout * largest,
+        )
+        fallbacks = 0
 
         def submit(pool, workload: str, unit: str, attempt: int):  # noqa: ARG001
             return pool.submit(
-                _simulate_group_by_name, workload, groups[workload],
-                config, warmup_fraction, telemetry,
+                _simulate_group_by_name, workload, units[(workload, unit)],
+                config, warmup_fraction, telemetry, memory_budget_mb,
             )
 
         def run_inline(workload: str, unit: str, attempt: int):  # noqa: ARG001
             return _simulate_group(
-                workload, groups[workload], traces[workload], config,
-                warmup_fraction, telemetry,
+                workload, units[(workload, unit)], traces[workload], config,
+                warmup_fraction, telemetry, memory_budget_mb,
             )
 
         def on_success(workload: str, unit: str, payload: object) -> None:  # noqa: ARG001
+            nonlocal fallbacks
             _, outcomes = payload  # type: ignore[misc]
             for policy, completed, result in outcomes:
                 if completed and result is not None:
                     record(workload, policy, result)
+                else:
+                    fallbacks += 1
+
+        def on_failure(workload: str, unit: str, *failure: object) -> None:  # noqa: ARG001
+            # A failed unit forfeits only its batch: its cells stay
+            # pending and are classified by the per-cell phase.
+            nonlocal fallbacks
+            fallbacks += len(units[(workload, unit)])
 
         executor = self._executor(
-            SINGLE_ATTEMPT, len(groups), pending, traces,
+            retry, len(units), pending, traces,
             submit=submit,
             run_inline=run_inline,
             on_success=on_success,
-            # A failed group forfeits only its batch: its cells stay
-            # pending and are classified by the per-cell phase.
-            on_failure=lambda *failure: None,
+            on_failure=on_failure,
             report=FailureReport(),
             shutdown=shutdown,
             drain_timeout=drain_timeout,
         )
-        units = [(workload, "batch") for workload in groups]
-        if self.jobs > 1 and len(groups) > 1:
-            executor.run_pool(units)
+        if in_pool(len(units)):
+            self._run_parallel(executor, list(units))
         else:
             executor.run_serial(units)
+        return fallbacks

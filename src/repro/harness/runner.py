@@ -140,11 +140,11 @@ def run_matrix(
     failure isolation and engine statistics.
 
     ``cell_engine`` picks the simulation engine for uncached cells —
-    ``"fast"`` (default), ``"reference"``, or ``"batched"`` which runs
-    all eligible policies of a workload over one shared access-stream
-    plan (see docs/performance.md); all three are bit-identical.
-    (``engine`` names the *sweep* engine instance, hence the separate
-    keyword.)
+    ``"fast"`` (default; ``"batched"`` is a synonym) runs all eligible
+    policies of a workload over one shared access-stream plan and the
+    rest cell by cell, ``"reference"`` runs every cell on the reference
+    loop (see docs/performance.md); both are bit-identical. (``engine``
+    names the *sweep* engine instance, hence the separate keyword.)
 
     ``sampling`` runs every cell under representative-interval sampling
     (:mod:`repro.sampling`, docs/sampling.md): only weighted

@@ -438,18 +438,32 @@ import json, sys, time
 import repro.harness.engine as eng
 from repro.core.config import small_test_machine
 from repro.harness.engine import SweepEngine
+from repro.mem.batch import BatchSimulator
 from repro.trace.io import load_trace
 
 params = json.loads(sys.argv[1])
 traces = {name: load_trace(path) for name, path in params["traces"].items()}
+rank = {name: index for index, name in enumerate(traces)}
 
-_original = eng._simulate_cell
+# Slow every cell, in a batch unit and on the per-cell phase alike: the
+# i-th workload's cells take i + 1 delays, so units running side by side
+# finish apart and the kill lands between them.
+def _pause(workload):
+    time.sleep(params["cell_delay"] * (rank[workload] + 1))
 
-def _slowed(*args, **kwargs):
-    time.sleep(params["cell_delay"])
-    return _original(*args, **kwargs)
+_cell = eng._simulate_cell
+_replay = BatchSimulator.run_cell
 
-eng._simulate_cell = _slowed
+def _slowed_cell(workload, *args, **kwargs):
+    _pause(workload)
+    return _cell(workload, *args, **kwargs)
+
+def _slowed_replay(self, *args, **kwargs):
+    _pause(self.trace.name)
+    return _replay(self, *args, **kwargs)
+
+eng._simulate_cell = _slowed_cell
+BatchSimulator.run_cell = _slowed_replay
 
 engine = SweepEngine(
     cache_dir=params["cache_dir"], jobs=params["jobs"],

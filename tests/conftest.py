@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -58,6 +60,40 @@ def make_trace(
         np.array(gaps, dtype=np.uint32),
         name=name,
     )
+
+
+def inject_cell_faults(
+    monkeypatch,
+    traces: dict[str, Trace],
+    fault: Callable[[str, str], None],
+) -> None:
+    """Call ``fault(workload, policy)`` as each sweep cell starts, on any path.
+
+    A default sweep starts a cell in a batch unit
+    (``BatchSimulator.run_cell``) and, if the unit does not finish it,
+    again on the per-cell phase (``repro.harness.engine._simulate_cell``);
+    a ``reference`` sweep starts it on the per-cell phase only. Both are
+    wrapped, so a fault meets the cell wherever it runs. A unit's trace
+    is matched to its workload by digest. Pool workers are forked from
+    the test process, so they inherit the patches.
+    """
+    import repro.harness.engine as engine_module
+    from repro.mem.batch import BatchSimulator
+
+    workloads = {trace.digest(): name for name, trace in traces.items()}
+    real_cell = engine_module._simulate_cell
+    real_replay = BatchSimulator.run_cell
+
+    def cell(workload, policy, *args, **kwargs):
+        fault(workload, policy)
+        return real_cell(workload, policy, *args, **kwargs)
+
+    def replay(self, llc_policy, *args, **kwargs):
+        fault(workloads[self.trace.digest()], llc_policy)
+        return real_replay(self, llc_policy, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "_simulate_cell", cell)
+    monkeypatch.setattr(BatchSimulator, "run_cell", replay)
 
 
 @pytest.fixture

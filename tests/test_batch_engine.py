@@ -10,12 +10,14 @@ cell must not take the rest of the matrix down).
 """
 
 import json
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
-from conftest import make_trace
+from conftest import inject_cell_faults, make_trace
 from repro.core.config import small_test_machine
 from repro.core.simulator import build_hierarchy, simulate
 from repro.errors import ConfigurationError, SimulationError
@@ -62,10 +64,13 @@ def traces():
 
 
 @pytest.fixture(scope="module")
-def fast_baseline(machine, traces):
-    """The per-cell fast engine's canonical results (telemetry off)."""
+def reference_baseline(machine, traces):
+    """The reference engine's canonical results (telemetry off).
+
+    A default (``fast``) sweep now batches too, so the baseline the
+    batched sweeps are held to is the per-cell reference engine."""
     return canon_matrix(
-        SweepEngine().run(traces, POLICIES, config=machine)
+        SweepEngine().run(traces, POLICIES, config=machine, engine="reference")
     )
 
 
@@ -116,24 +121,25 @@ class TestSimulateBatched:
 
 
 class TestBatchedSweepBitIdentity:
-    def test_serial_batched_equals_fast(self, machine, traces, fast_baseline):
+    def test_serial_batched_equals_fast(self, machine, traces, reference_baseline):
         outcome = SweepEngine().run(
             traces, POLICIES, config=machine, engine="batched"
         )
-        assert canon_matrix(outcome) == fast_baseline
+        assert canon_matrix(outcome) == reference_baseline
         assert outcome.stats.simulated == len(traces) * len(POLICIES)
 
-    def test_parallel_batched_equals_fast(self, machine, traces, fast_baseline):
+    def test_parallel_batched_equals_fast(self, machine, traces, reference_baseline):
         outcome = SweepEngine(jobs=2).run(
             traces, POLICIES, config=machine, engine="batched"
         )
-        assert canon_matrix(outcome) == fast_baseline
+        assert canon_matrix(outcome) == reference_baseline
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_telemetry_armed_batched_equals_fast(self, machine, traces, jobs):
         tele = TelemetryConfig(interval_instructions=600)
         fast = canon_matrix(
-            SweepEngine().run(traces, POLICIES, config=machine, telemetry=tele)
+            SweepEngine().run(traces, POLICIES, config=machine, telemetry=tele,
+                              engine="reference")
         )
         batched = canon_matrix(
             SweepEngine(jobs=jobs).run(
@@ -143,13 +149,13 @@ class TestBatchedSweepBitIdentity:
         )
         assert batched == fast
 
-    def test_resilient_batched_equals_fast(self, machine, traces, fast_baseline):
+    def test_resilient_batched_equals_fast(self, machine, traces, reference_baseline):
         outcome = SweepEngine(jobs=2).run(
             traces, POLICIES, config=machine, engine="batched",
             retry=RetryPolicy(max_attempts=2, backoff_base=0.01,
                               backoff_max=0.05),
         )
-        assert canon_matrix(outcome) == fast_baseline
+        assert canon_matrix(outcome) == reference_baseline
         assert not outcome.failure_report.cells  # nothing was absorbed
 
     def test_invalid_engine_rejected(self, machine, traces):
@@ -159,20 +165,20 @@ class TestBatchedSweepBitIdentity:
 
 class TestCacheInteraction:
     def test_batched_populates_the_shared_cache(
-        self, tmp_path, machine, traces, fast_baseline
+        self, tmp_path, machine, traces, reference_baseline
     ):
         # Engine choice is not part of the cell key: a batched sweep's
-        # entries must serve a later fast-engine sweep verbatim.
+        # entries must serve a later per-cell sweep verbatim.
         cells = len(traces) * len(POLICIES)
         first = SweepEngine(cache_dir=tmp_path, jobs=1).run(
             traces, POLICIES, config=machine, engine="batched"
         )
         assert first.stats.simulated == cells and first.stats.hits == 0
         second = SweepEngine(cache_dir=tmp_path, jobs=1).run(
-            traces, POLICIES, config=machine, engine="fast"
+            traces, POLICIES, config=machine, engine="reference"
         )
         assert second.stats.hits == cells and second.stats.simulated == 0
-        assert canon_matrix(second) == fast_baseline
+        assert canon_matrix(second) == reference_baseline
 
     def test_cached_cells_never_reach_the_batch_path(
         self, tmp_path, machine, traces, monkeypatch
@@ -190,7 +196,7 @@ class TestCacheInteraction:
         assert outcome.stats.hits == len(traces) * len(POLICIES)
 
     def test_partial_cache_batches_only_the_pending_cells(
-        self, tmp_path, machine, traces, fast_baseline
+        self, tmp_path, machine, traces, reference_baseline
     ):
         warm = SweepEngine(cache_dir=tmp_path, jobs=1)
         warm.run({"zipf": traces["zipf"]}, POLICIES, config=machine)
@@ -199,7 +205,7 @@ class TestCacheInteraction:
         )
         assert outcome.stats.hits == len(POLICIES)
         assert outcome.stats.simulated == len(POLICIES)
-        assert canon_matrix(outcome) == fast_baseline
+        assert canon_matrix(outcome) == reference_baseline
 
 
 def doubled_l1d(machine):
@@ -246,13 +252,14 @@ class TestIneligibleFallback:
             SweepEngine().run(mixed, POLICIES, config=machine, engine="batched")
         )
         fast = canon_matrix(
-            SweepEngine().run(mixed, POLICIES, config=machine)
+            SweepEngine().run(mixed, POLICIES, config=machine,
+                              engine="reference")
         )
         assert batched == fast
         assert {w for w, _ in batched} == {"zipf", "stream", "wb"}
 
     def test_plan_failure_falls_back_per_cell(
-        self, machine, traces, fast_baseline, monkeypatch
+        self, machine, traces, reference_baseline, monkeypatch
     ):
         def boom(*args, **kwargs):
             raise RuntimeError("plan construction exploded")
@@ -261,7 +268,7 @@ class TestIneligibleFallback:
         outcome = SweepEngine().run(
             traces, POLICIES, config=machine, engine="batched"
         )
-        assert canon_matrix(outcome) == fast_baseline
+        assert canon_matrix(outcome) == reference_baseline
 
     def test_group_worker_reports_incomplete_cells(self, machine, traces):
         original = BatchSimulator.run_cell
@@ -282,9 +289,149 @@ class TestIneligibleFallback:
         assert by_policy == {"lru": True, "ship": False, "drrip": True}
 
 
+def recording_pool(monkeypatch) -> dict:
+    """Record the engine's pool initializer arguments and submissions."""
+    import repro.harness.engine as engine_module
+
+    captured = {"initargs": [], "submits": []}
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            captured["initargs"].append(kwargs.get("initargs"))
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            captured["submits"].append((fn.__name__, args))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "ProcessPoolExecutor", RecordingPool)
+    return captured
+
+
+class TestDefaultSweepPath:
+    """A default sweep runs its pending cells in per-trace batch units,
+    and whatever a unit leaves unfinished falls back to the per-cell
+    phase."""
+
+    def test_one_ineligible_cell_is_one_fallback(self, machine, traces):
+        mixed = {
+            "zipf": traces["zipf"],
+            "wb": make_trace([i * 64 for i in range(64)],
+                             kinds=int(AccessKind.WRITEBACK), name="wb"),
+        }
+        outcome = SweepEngine().run(mixed, ["lru"], config=machine)
+        assert outcome.stats.fallbacks == 1
+        assert outcome.stats.simulated == 2
+        assert canon_matrix(outcome) == canon_matrix(
+            SweepEngine().run(mixed, ["lru"], config=machine,
+                              engine="reference")
+        )
+
+    def test_per_cell_sweeps_skip_the_batched_pass(
+        self, machine, traces, monkeypatch
+    ):
+        def no_plan(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a per-cell sweep built a batch plan")
+
+        monkeypatch.setattr(BatchSimulator, "__init__", no_plan)
+        for options in ({"engine": "reference"}, {"sanitize": True}):
+            outcome = SweepEngine().run(
+                traces, ["lru"], config=machine, **options)
+            assert outcome.stats.fallbacks == 0
+            assert outcome.stats.simulated == len(traces)
+
+    def test_fewer_traces_than_jobs_split_into_units(
+        self, machine, traces, reference_baseline, monkeypatch
+    ):
+        captured = recording_pool(monkeypatch)
+        zipf = {"zipf": traces["zipf"]}
+        outcome = SweepEngine(jobs=2).run(zipf, POLICIES, config=machine)
+        units = [
+            (args[0], args[1]) for name, args in captured["submits"]
+            if name == "_simulate_group_by_name"
+        ]
+        # ceil(2 jobs / 1 trace) = 2 units, policies dealt round-robin.
+        assert sorted(units) == [
+            ("zipf", ["lru", "drrip"]), ("zipf", ["ship"]),
+        ]
+        assert outcome.stats.fallbacks == 0
+        assert canon_matrix(outcome) == {
+            cell: payload for cell, payload in reference_baseline.items()
+            if cell[0] == "zipf"
+        }
+
+    def test_hanging_cell_times_out_its_unit_then_its_cell(
+        self, machine, traces, reference_baseline, monkeypatch
+    ):
+        """The unit's watchdog (one ``cell_timeout`` per policy) ends the
+        hung unit; the per-cell phase classifies the hung cell and the
+        rest of its trace completes bit-identically."""
+
+        def hang(workload, policy):
+            if (workload, policy) == ("zipf", "ship"):
+                time.sleep(60)
+
+        inject_cell_faults(monkeypatch, traces, hang)
+        outcome = SweepEngine(jobs=1).run(
+            traces, POLICIES, config=machine, isolate_failures=True,
+            retry=RetryPolicy(max_attempts=1, cell_timeout=1.0),
+        )
+        assert set(outcome.errors) == {("zipf", "ship")}
+        error = outcome.errors[("zipf", "ship")]
+        assert error.error_type == "CellTimeoutError"
+        assert error.classification == "transient"
+        (attempt,) = outcome.failure_report.cells[("zipf", "ship")].attempts
+        assert attempt.error_type == "CellTimeoutError"
+        assert outcome.stats.fallbacks == len(POLICIES)
+        assert canon_matrix(outcome) == {
+            cell: payload for cell, payload in reference_baseline.items()
+            if cell != ("zipf", "ship")
+        }
+
+    def test_unit_over_its_memory_budget_falls_back(
+        self, machine, traces, reference_baseline, monkeypatch
+    ):
+        """A unit whose RSS breaches the budget hands its cells to the
+        per-cell phase, which completes them under the same budget."""
+        from repro.resilience import durability
+
+        bloated = threading.Event()
+        real_rss = durability.current_rss_bytes
+        monkeypatch.setattr(
+            durability, "current_rss_bytes",
+            lambda: 2**60 if bloated.is_set() else real_rss(),
+        )
+        real_plan = BatchSimulator.__init__
+
+        def bloating_plan(self, *args, **kwargs):
+            bloated.set()
+            try:
+                # Short sleeps, so the watchdog's interrupt of the main
+                # thread lands between them.
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    time.sleep(0.01)
+            finally:
+                bloated.clear()
+            real_plan(self, *args, **kwargs)  # pragma: no cover
+
+        monkeypatch.setattr(BatchSimulator, "__init__", bloating_plan)
+        outcome = SweepEngine(jobs=1).run(
+            {"zipf": traces["zipf"]}, POLICIES, config=machine,
+            isolate_failures=True, memory_budget_mb=2.0**30,
+        )
+        assert not outcome.errors
+        assert outcome.stats.fallbacks == len(POLICIES)
+        assert outcome.stats.simulated == len(POLICIES)
+        assert canon_matrix(outcome) == {
+            cell: payload for cell, payload in reference_baseline.items()
+            if cell[0] == "zipf"
+        }
+
+
 class TestResilienceIntegration:
     def test_poisoned_batched_cell_rest_recovers(
-        self, machine, traces, fast_baseline, monkeypatch
+        self, machine, traces, reference_baseline, monkeypatch
     ):
         """One cell fails in the batch AND per-cell with MemoryError: it
         must be isolated as poison while every other cell — including the
@@ -318,7 +465,7 @@ class TestResilienceIntegration:
         assert outcome.errors[("zipf", "ship")].classification == "poison"
         survived = canon_matrix(outcome)
         expected = {
-            cell: payload for cell, payload in fast_baseline.items()
+            cell: payload for cell, payload in reference_baseline.items()
             if cell != ("zipf", "ship")
         }
         assert survived == expected
@@ -330,30 +477,17 @@ class TestTraceDedup:
     """The standalone fix: traces cross the pool boundary once per
     worker (via the initializer registry), never per submitted cell."""
 
-    def _recording_pool(self, monkeypatch):
-        import repro.harness.engine as engine_module
-
-        captured = {"initargs": [], "submits": []}
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                captured["initargs"].append(kwargs.get("initargs"))
-                super().__init__(*args, **kwargs)
-
-            def submit(self, fn, /, *args, **kwargs):
-                captured["submits"].append((fn.__name__, args))
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", RecordingPool)
-        return captured
-
     def test_parallel_submits_names_not_traces(
         self, machine, traces, monkeypatch
     ):
+        """Pinned to the per-cell phase (``engine="reference"``); the
+        twin below checks the batch units of a default sweep."""
         from repro.trace.trace import Trace
 
-        captured = self._recording_pool(monkeypatch)
-        SweepEngine(jobs=2).run(traces, POLICIES, config=machine)
+        captured = recording_pool(monkeypatch)
+        SweepEngine(jobs=2).run(
+            traces, POLICIES, config=machine, engine="reference"
+        )
         assert len(captured["submits"]) == len(traces) * len(POLICIES)
         for name, args in captured["submits"]:
             assert name == "_simulate_cell_by_name"
@@ -367,10 +501,8 @@ class TestTraceDedup:
     ):
         from repro.trace.trace import Trace
 
-        captured = self._recording_pool(monkeypatch)
-        SweepEngine(jobs=2).run(
-            traces, POLICIES, config=machine, engine="batched"
-        )
+        captured = recording_pool(monkeypatch)
+        SweepEngine(jobs=2).run(traces, POLICIES, config=machine)
         group_submits = [
             (name, args) for name, args in captured["submits"]
             if name == "_simulate_group_by_name"

@@ -59,6 +59,20 @@ class TestSweep:
         assert "spec06.milc" in captured.out
         assert "6 simulated" in captured.err  # 2 workloads x (lru + 2 policies)
 
+    def test_engine_line_reports_fallbacks(self, capsys, monkeypatch):
+        from repro.mem.batch import BatchSimulator
+
+        def no_plan(self, *args, **kwargs):
+            raise RuntimeError("plan construction failed")
+
+        argv = ["sweep", "gap.cc.10", "--policies", "srrip",
+                "--window", "2000", "--jobs", "1", "--no-cache"]
+        assert main(argv) == 0
+        assert "fell back" not in capsys.readouterr().err
+        monkeypatch.setattr(BatchSimulator, "__init__", no_plan)
+        assert main(argv) == 0
+        assert "2 simulated, 2 fell back to per-cell" in capsys.readouterr().err
+
     def test_gap_graph_built_once_per_scale(self, capsys, monkeypatch):
         import repro.__main__ as cli
 

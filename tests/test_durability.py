@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import inject_cell_faults
 from repro.core.config import CacheConfig, MachineConfig
 from repro.errors import (
     ConfigurationError,
@@ -235,26 +236,22 @@ class TestGracefulShutdown:
 
     def test_serial_sweep_stops_and_raises_interrupted(
             self, tmp_path, traces, monkeypatch):
-        import repro.harness.engine as eng
-
+        """Pinned to the per-cell phase (``engine="reference"``), which
+        stops between cells; on the batched pass a unit is the step, see
+        ``test_batched_pass_stops_between_groups``."""
         shutdown = ShutdownCoordinator()
-        real = eng._simulate_cell
-
-        def first_cell_then_shutdown(*args, **kwargs):
-            shutdown.request("SIGTERM")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(eng, "_simulate_cell", first_cell_then_shutdown)
-        engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=1,
-                             journal_dir=tmp_path / "journal")
-        with pytest.raises(SweepInterrupted) as excinfo:
-            engine.run(traces, ["lru", "srrip"], config=tiny_config(),
-                       shutdown=shutdown)
+        with monkeypatch.context() as patch:
+            inject_cell_faults(
+                patch, traces, lambda *cell: shutdown.request("SIGTERM"))
+            engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=1,
+                                 journal_dir=tmp_path / "journal")
+            with pytest.raises(SweepInterrupted) as excinfo:
+                engine.run(traces, ["lru", "srrip"], config=tiny_config(),
+                           shutdown=shutdown, engine="reference")
         assert excinfo.value.run_id is not None
         assert "1/4" in str(excinfo.value)
 
         # The drained cell was journalled; resume completes the rest.
-        monkeypatch.setattr(eng, "_simulate_cell", real)
         resumed = engine.run(traces, ["lru", "srrip"], config=tiny_config())
         assert resumed.stats.resumed == 1
         assert len(resumed.matrix.results) == 2
@@ -330,24 +327,28 @@ class TestGracefulShutdown:
 
 
 #: A journalled jobs=2 sweep whose cells record their worker's pid and
-#: then stall, so the test can SIGKILL the sweep with both workers busy.
+#: then stall (in a batch unit or on the per-cell phase), so the test
+#: can SIGKILL the sweep with both workers busy.
 _STALLED_SWEEP = """
 import json, os, sys, time
 from pathlib import Path
 
 import repro.harness.engine as eng
 from repro.core.config import small_test_machine
+from repro.mem.batch import BatchSimulator
 from repro.trace import synthetic
 
 params = json.loads(sys.argv[1])
-real = eng._simulate_cell
 
-def stalled(*args, **kwargs):
-    Path(params["pid_dir"], str(os.getpid())).touch()
-    time.sleep(120)
-    return real(*args, **kwargs)
+def stalled(real):
+    def cell(*args, **kwargs):
+        Path(params["pid_dir"], str(os.getpid())).touch()
+        time.sleep(120)
+        return real(*args, **kwargs)
+    return cell
 
-eng._simulate_cell = stalled
+eng._simulate_cell = stalled(eng._simulate_cell)
+BatchSimulator.run_cell = stalled(BatchSimulator.run_cell)
 traces = {f"t{i}": synthetic.zipf_reuse(500, num_blocks=50, seed=i)
           for i in range(2)}
 eng.SweepEngine(
@@ -477,26 +478,25 @@ def test_forkserver_pool_workers_serve_and_exit_with_the_sweep(tmp_path):
 
 
 class TestSerialInterruptRegression:
-    def test_keyboard_interrupt_flushes_journal_and_report(
-            self, tmp_path, traces, monkeypatch):
-        """Ctrl-C mid-serial-sweep must leave resumable state behind."""
-        import repro.harness.engine as eng
-
-        real = eng._simulate_cell
+    @staticmethod
+    def interrupt_second_cell(tmp_path, traces, monkeypatch, policies,
+                              engine_name):
+        """Ctrl-C at the second cell; then check what was left behind."""
         calls = {"n": 0}
 
-        def interrupt_second_cell(*args, **kwargs):
+        def interrupt(workload, policy):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise KeyboardInterrupt
-            return real(*args, **kwargs)
 
-        monkeypatch.setattr(eng, "_simulate_cell", interrupt_second_cell)
         engine = SweepEngine(cache_dir=tmp_path / "cache", jobs=1,
                              journal_dir=tmp_path / "journal")
-        with pytest.raises(KeyboardInterrupt):
-            engine.run(traces, ["lru", "srrip"], config=tiny_config(),
-                       retry=RetryPolicy(max_attempts=2, **FAST_RETRY))
+        with monkeypatch.context() as patch:
+            inject_cell_faults(patch, traces, interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                engine.run(traces, policies, config=tiny_config(),
+                           retry=RetryPolicy(max_attempts=2, **FAST_RETRY),
+                           engine=engine_name)
 
         journals = list((tmp_path / "journal").glob(f"*{JOURNAL_SUFFIX}"))
         assert len(journals) == 1
@@ -509,10 +509,26 @@ class TestSerialInterruptRegression:
         doc = json.loads(report_path.read_text())
         assert doc["schema"] == 1
 
-        monkeypatch.setattr(eng, "_simulate_cell", real)
-        resumed = engine.run(traces, ["lru", "srrip"], config=tiny_config())
+        resumed = engine.run(traces, policies, config=tiny_config())
         assert resumed.stats.resumed == 1
         assert len(resumed.matrix.results) == 2
+
+    def test_keyboard_interrupt_flushes_journal_and_report(
+            self, tmp_path, traces, monkeypatch):
+        """Ctrl-C mid-serial-sweep must leave resumable state behind.
+
+        Pinned to the per-cell phase (``engine="reference"``), which is
+        interrupted between cells; the twin below interrupts a unit."""
+        self.interrupt_second_cell(
+            tmp_path, traces, monkeypatch, ["lru", "srrip"], "reference")
+
+    def test_keyboard_interrupt_in_a_batch_unit_flushes_journal_and_report(
+            self, tmp_path, traces, monkeypatch):
+        """The batched pass's twin: one policy, so each trace's unit is
+        one cell and the second unit is interrupted after the first
+        was journalled."""
+        self.interrupt_second_cell(
+            tmp_path, traces, monkeypatch, ["lru"], "fast")
 
 
 class TestCacheByteBudget:
@@ -651,12 +667,10 @@ class TestMemoryGovernance:
 
     def test_serial_sweep_classifies_budget_breach_poison(
             self, traces, monkeypatch):
-        import repro.harness.engine as eng
-
-        def blow_budget(*args, **kwargs):
+        def blow_budget(workload, policy):
             raise MemoryBudgetError("worker RSS 999 MiB exceeded")
 
-        monkeypatch.setattr(eng, "_simulate_cell", blow_budget)
+        inject_cell_faults(monkeypatch, traces, blow_budget)
         outcome = SweepEngine(jobs=1).run(
             traces, ["lru"], config=tiny_config(), isolate_failures=True)
         assert len(outcome.errors) == 2

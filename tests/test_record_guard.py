@@ -162,6 +162,18 @@ class TestRecorderIntegration:
         code = rec.main(["--suites", "gap", "--output", str(output)])
         assert code == 2
 
-    def test_trajectory_recorder_shape_ignores_jobs(self):
+    def test_trajectory_recorder_refuses_duplicate(self, monkeypatch, tmp_path):
         rec = _load("record_trajectory")
-        assert rec.expected_shape(1) == rec.expected_shape(8)
+        monkeypatch.setattr(rec, "_git_sha", lambda: "cafebabe" * 5)
+        shape = {"smoke": True, "scale": {}, "matrix": {"cells": 210}}
+        monkeypatch.setattr(rec, "expected_shape", lambda: dict(shape))
+        monkeypatch.setattr(
+            rec, "measure", lambda **kw: pytest.fail("measured a duplicate"))
+        existing = {"git_sha": "cafebabe" * 5, **shape}
+        output = tmp_path / "BENCH_sweep.json"
+        output.write_text(
+            json.dumps({"schema": 1, "entries": [existing]})
+        )
+        # A clean tree, so only the duplicate check can fire.
+        monkeypatch.setattr(guard, "working_tree_changes", lambda *a, **k: [])
+        assert rec.main(["--output", str(output)]) == 2

@@ -11,6 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from conftest import inject_cell_faults
 from repro.core.config import CacheConfig, MachineConfig
 from repro.errors import (
     CacheIntegrityError,
@@ -257,10 +258,10 @@ class TestEngineResilience:
             assert len(history.attempts) == 1, "no retries for deterministic"
 
     def test_serial_memory_error_marked_poison(self, traces, monkeypatch):
-        def oom(*args, **kwargs):
+        def oom(workload, policy):
             raise MemoryError("worker would be OOM-killed")
 
-        monkeypatch.setattr("repro.harness.engine._simulate_cell", oom)
+        inject_cell_faults(monkeypatch, traces, oom)
         outcome = SweepEngine(jobs=1).run(
             traces, ["lru"], config=tiny_config(), isolate_failures=True,
         )
@@ -334,22 +335,15 @@ class TestEngineResilience:
         assert backoffs[0], "the crash must have been absorbed"
 
 
-def _cell_faults(faults: dict, monkeypatch) -> None:
-    """Make ``_simulate_cell`` raise ``faults[(workload, policy)]()``.
+def _cell_faults(faults: dict, traces: dict, monkeypatch) -> None:
+    """Make cell (workload, policy) run ``faults[(workload, policy)]()``
+    as it starts, in a batch unit and on the per-cell phase alike."""
 
-    Pool workers are forked from the test process, so they inherit the
-    patch as well.
-    """
-    import repro.harness.engine as engine_module
-
-    real = engine_module._simulate_cell
-
-    def faulty(workload, policy, *args, **kwargs):
+    def fault(workload, policy):
         if (workload, policy) in faults:
             faults[(workload, policy)]()
-        return real(workload, policy, *args, **kwargs)
 
-    monkeypatch.setattr(engine_module, "_simulate_cell", faulty)
+    inject_cell_faults(monkeypatch, traces, fault)
 
 
 def _kill_worker():
@@ -382,7 +376,7 @@ class TestOneExecutionPath:
         config = tiny_config()
         baseline = SweepEngine(jobs=1).run(four_traces, policies, config=config)
 
-        _cell_faults({("t1", "srrip"): _kill_worker}, monkeypatch)
+        _cell_faults({("t1", "srrip"): _kill_worker}, four_traces, monkeypatch)
         outcome = SweepEngine(jobs=2).run(
             four_traces, policies, config=config, isolate_failures=True,
         )
@@ -410,7 +404,7 @@ class TestOneExecutionPath:
             ("zipf", "srrip"): _raise(ValueError, "simulator bug"),
             ("stream", "lru"): _raise(MemoryError, "would be OOM-killed"),
             ("stream", "srrip"): _raise(MemoryBudgetError, "RSS over budget"),
-        }, monkeypatch)
+        }, traces, monkeypatch)
         seen = []
         for jobs in (1, 2):
             engine = SweepEngine(
@@ -448,7 +442,7 @@ class TestOneExecutionPath:
 
     def test_lone_retried_cell_runs_in_the_pool(self, four_traces, monkeypatch):
         """A rerun whose only pending cell kills workers still completes."""
-        _cell_faults({("t0", "lru"): _kill_worker}, monkeypatch)
+        _cell_faults({("t0", "lru"): _kill_worker}, four_traces, monkeypatch)
         outcome = SweepEngine(jobs=2).run(
             {"t0": four_traces["t0"]}, ["lru"], config=tiny_config(),
             isolate_failures=True,
@@ -470,15 +464,19 @@ def _pool_breaking_at(break_at: int, broken_on: list):
     Submitted calls run at once, so their futures are done by the time
     ``wait()`` sees them; a broken instance refuses every later submit,
     as a real pool does. ``broken_on`` receives the refused calls'
-    (workload, policy).
+    (workload, policy), or (workload, policies) for a batch unit;
+    ``BreakingPool.instances`` counts the pools built.
     """
     submits = itertools.count(1)
 
     class BreakingPool:
+        instances = 0
+
         def __init__(self, max_workers, initializer=None, initargs=()):
             if initializer is not None:
                 initializer(*initargs)
             self.broken = False
+            BreakingPool.instances += 1
 
         def submit(self, fn, *args, **kwargs):
             if self.broken or next(submits) == break_at:
@@ -503,7 +501,11 @@ class TestResilientExecutorPool:
     def test_submit_into_broken_pool_requeues_the_cell(
             self, traces, monkeypatch, break_at):
         """A pool that breaks between wait() and the refill costs one
-        rebuild, and the refused cell reruns with no failed attempt."""
+        rebuild, and the refused cell reruns with no failed attempt.
+
+        Pinned to the per-cell phase (``engine="reference"``), whose
+        rebuilds the failure report counts; the twin below runs the
+        same mechanics on the batched pass."""
         import repro.harness.engine as engine_module
 
         policies = ["lru", "srrip", "drrip"]
@@ -516,6 +518,7 @@ class TestResilientExecutorPool:
         )
         outcome = SweepEngine(jobs=2).run(
             traces, policies, config=tiny_config(), isolate_failures=True,
+            engine="reference",
         )
         assert broken_on, "the fake pool never broke"
         assert not outcome.errors
@@ -523,6 +526,35 @@ class TestResilientExecutorPool:
         report = outcome.failure_report
         assert not report.cells, "the refused cell must have no failed attempt"
         assert report.pool_rebuilds == 1
+
+    @pytest.mark.parametrize("break_at", [2, 3], ids=["first-fill", "refill"])
+    def test_submit_into_broken_pool_requeues_the_unit(
+            self, monkeypatch, break_at):
+        """The batched pass's twin: a unit refused by a broken pool
+        reruns as a unit after one rebuild; no cell falls back."""
+        import repro.harness.engine as engine_module
+
+        four = {
+            f"t{i}": synthetic.zipf_reuse(1500, num_blocks=150, seed=i)
+            for i in range(4)
+        }
+        policies = ["lru", "srrip"]
+        serial = SweepEngine(jobs=1).run(
+            four, policies, config=tiny_config(), engine="reference")
+        broken_on: list = []
+        pool = _pool_breaking_at(break_at, broken_on)
+        monkeypatch.setattr(engine_module, "_WORKER_TRACES", {})
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", pool)
+        outcome = SweepEngine(jobs=2).run(
+            four, policies, config=tiny_config(), isolate_failures=True,
+        )
+        assert broken_on, "the fake pool never broke"
+        assert all(units == policies for _, units in broken_on)
+        assert not outcome.errors
+        assert outcome.matrix.results == serial.matrix.results
+        assert outcome.stats.fallbacks == 0
+        assert not outcome.failure_report.cells
+        assert pool.instances == 2, "exactly one rebuild"
 
     def test_no_submit_after_shutdown_request(self, monkeypatch):
         """A shutdown requested while cells run stops all refills."""

@@ -1030,10 +1030,10 @@ class SweepEngine:
         replays its batch-eligible policies against one shared
         access-stream plan, and what a unit leaves unfinished
         (ineligible or failed cells) falls back to the per-cell phase
-        on the fast engine. When fewer traces have pending cells than
-        ``jobs``, each trace's policies split into
-        ``ceil(jobs / traces)`` units so no worker idles. A unit gets
-        ``cell_timeout`` once per policy it holds, runs under
+        on the fast engine. When ``jobs`` is at least twice the number
+        of traces with pending cells, each trace's policies split into
+        ``jobs // traces`` units, so units never outnumber workers. A
+        unit gets ``cell_timeout`` once per policy it holds, runs under
         ``memory_budget_mb``, and hands its unfinished cells to the
         per-cell phase when it times out, breaches the budget or loses
         its worker; that phase classifies them. ``"reference"`` runs
@@ -1401,7 +1401,10 @@ class SweepEngine:
         groups: dict[str, list[str]] = {}
         for workload, policy in pending:
             groups.setdefault(workload, []).append(policy)
-        parts = -(-self.jobs // len(groups))
+        # Split a trace only into units that each get a worker of their
+        # own: a unit queued behind another of its trace would repeat
+        # the plan pass on the critical path.
+        parts = max(1, self.jobs // len(groups))
         units: dict[tuple[str, str], list[str]] = {}
         for workload, policies in groups.items():
             share = min(parts, len(policies))

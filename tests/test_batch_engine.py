@@ -340,24 +340,33 @@ class TestDefaultSweepPath:
             assert outcome.stats.fallbacks == 0
             assert outcome.stats.simulated == len(traces)
 
-    def test_fewer_traces_than_jobs_split_into_units(
-        self, machine, traces, reference_baseline, monkeypatch
+    @pytest.mark.parametrize(
+        "names, jobs, expected",
+        [
+            # 2 jobs // 1 trace = 2 units, policies dealt round-robin.
+            (("zipf",), 2, [("zipf", ["lru", "drrip"]), ("zipf", ["ship"])]),
+            # 3 jobs // 2 traces = 1: splitting both traces would queue a
+            # second plan pass behind the first on one of three workers.
+            (("zipf", "stream"), 3, [("stream", POLICIES), ("zipf", POLICIES)]),
+        ],
+        ids=["one-trace-2-jobs", "two-traces-3-jobs"],
+    )
+    def test_units_split_only_onto_spare_workers(
+        self, machine, traces, reference_baseline, monkeypatch,
+        names, jobs, expected,
     ):
         captured = recording_pool(monkeypatch)
-        zipf = {"zipf": traces["zipf"]}
-        outcome = SweepEngine(jobs=2).run(zipf, POLICIES, config=machine)
+        subset = {name: traces[name] for name in names}
+        outcome = SweepEngine(jobs=jobs).run(subset, POLICIES, config=machine)
         units = [
             (args[0], args[1]) for name, args in captured["submits"]
             if name == "_simulate_group_by_name"
         ]
-        # ceil(2 jobs / 1 trace) = 2 units, policies dealt round-robin.
-        assert sorted(units) == [
-            ("zipf", ["lru", "drrip"]), ("zipf", ["ship"]),
-        ]
+        assert sorted(units) == expected
         assert outcome.stats.fallbacks == 0
         assert canon_matrix(outcome) == {
             cell: payload for cell, payload in reference_baseline.items()
-            if cell[0] == "zipf"
+            if cell[0] in names
         }
 
     def test_hanging_cell_times_out_its_unit_then_its_cell(

@@ -135,6 +135,18 @@ SINGLE_ATTEMPT = RetryPolicy(max_attempts=1, poison_strikes=1)
 _PARENT_POLL_S = 0.5
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on.
+
+    The affinity mask where the OS keeps one (a container or ``taskset``
+    may grant fewer CPUs than the machine has), else the CPU count.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _salt_root() -> Path:
     """The package directory the salt sources are resolved against."""
     import repro
@@ -1030,9 +1042,10 @@ class SweepEngine:
         replays its batch-eligible policies against one shared
         access-stream plan, and what a unit leaves unfinished
         (ineligible or failed cells) falls back to the per-cell phase
-        on the fast engine. When ``jobs`` is at least twice the number
-        of traces with pending cells, each trace's policies split into
-        ``jobs // traces`` units, so units never outnumber workers. A
+        on the fast engine. With ``n = min(jobs, usable_cpus())`` at
+        least twice the number of traces with pending cells, each
+        trace's policies split into ``n // traces`` units, so units
+        never outnumber workers or the CPUs the sweep may use. A
         unit gets ``cell_timeout`` once per policy it holds, runs under
         ``memory_budget_mb``, and hands its unfinished cells to the
         per-cell phase when it times out, breaches the budget or loses
@@ -1401,10 +1414,11 @@ class SweepEngine:
         groups: dict[str, list[str]] = {}
         for workload, policy in pending:
             groups.setdefault(workload, []).append(policy)
-        # Split a trace only into units that each get a worker of their
-        # own: a unit queued behind another of its trace would repeat
-        # the plan pass on the critical path.
-        parts = max(1, self.jobs // len(groups))
+        # Split a trace only into units that each get a worker, and a
+        # CPU, of their own: a unit queued behind another of its trace
+        # would repeat the plan pass on the critical path, and units
+        # sharing a CPU each pay the plan pass at a fraction of its speed.
+        parts = max(1, min(self.jobs, usable_cpus()) // len(groups))
         units: dict[tuple[str, str], list[str]] = {}
         for workload, policies in groups.items():
             share = min(parts, len(policies))

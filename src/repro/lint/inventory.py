@@ -14,9 +14,9 @@ Mutation is detected conservatively:
 
 * direct assignment and augmented assignment to ``self.attr`` or any
   subscript rooted at it (``self.t[i] = ...``, ``self.t[i][j] += 1``);
-* assignment through a local alias of a state row
-  (``row = self.t[i]; row[j] = ...``), the idiom the saturating-counter
-  rule already sees through;
+* assignment through a local alias of a state table or a row of one
+  (``t = self.t; t[i] = ...``, ``row = self.t[i]; row[j] = ...``), the
+  aliases the saturating-counter rule sees through as well;
 * *any* method call on the attribute or a subscript of it
   (``self._sampler.observe(...)``, ``self._pchr.append(...)``,
   ``self._rng.integers(...)``) — calls may be pure, but a reuse
@@ -29,26 +29,22 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from .model import HOOK_METHODS, ClassInfo, LintContext, subscript_root_attr
+from .model import (
+    HOOK_METHODS,
+    ClassInfo,
+    LintContext,
+    local_table_aliases,
+    self_attr,
+    subscript_root_attr,
+)
 
 #: Methods that allocate state (searched for ``self.x = ...`` targets).
 INITIALIZER_METHODS = ("__init__", "initialize")
 
 
-def _self_attr(node: ast.AST) -> str | None:
-    """The ``x`` of a plain ``self.x`` expression, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 def _assignment_target_attr(target: ast.expr) -> str | None:
     """The ``self.<attr>`` root of an assignment target, if any."""
-    direct = _self_attr(target)
+    direct = self_attr(target)
     if direct is not None:
         return direct
     if isinstance(target, ast.Subscript):
@@ -66,34 +62,15 @@ def assigned_attrs(fn: ast.FunctionDef) -> dict[str, int]:
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             targets = [node.target]
         for target in targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is not None and attr not in found:
                 found[attr] = target.lineno
     return found
 
 
-def _alias_map(fn: ast.FunctionDef) -> dict[str, str]:
-    """Local name -> ``self.<attr>`` it aliases (``row = self.t[i]``)."""
-    aliases: dict[str, str] = {}
-    for stmt in ast.walk(fn):
-        if not isinstance(stmt, ast.Assign):
-            continue
-        root: str | None = None
-        if isinstance(stmt.value, ast.Subscript):
-            root = subscript_root_attr(stmt.value)
-        else:
-            root = _self_attr(stmt.value)
-        if root is None:
-            continue
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                aliases[target.id] = root
-    return aliases
-
-
 def mutated_attrs(fn: ast.FunctionDef) -> set[str]:
     """``self.<attr>`` names ``fn`` mutates (see module docstring)."""
-    aliases = _alias_map(fn)
+    aliases = local_table_aliases(fn)
     mutated: set[str] = set()
 
     def resolve(target: ast.expr) -> str | None:
@@ -125,7 +102,7 @@ def mutated_attrs(fn: ast.FunctionDef) -> set[str]:
             receiver: ast.AST = node.func.value
             while isinstance(receiver, ast.Subscript):
                 receiver = receiver.value
-            attr = _self_attr(receiver)
+            attr = self_attr(receiver)
             if attr is not None:
                 mutated.add(attr)
             elif isinstance(receiver, ast.Name) and receiver.id in aliases:
@@ -138,7 +115,7 @@ def referenced_attrs(fn: ast.FunctionDef) -> set[str]:
     return {
         attr
         for node in ast.walk(fn)
-        if (attr := _self_attr(node)) is not None
+        if (attr := self_attr(node)) is not None
     }
 
 

@@ -239,6 +239,17 @@ def has_writeback_guard(fn: ast.FunctionDef) -> bool:
     )
 
 
+def self_attr(node: ast.AST) -> str | None:
+    """The ``x`` of a plain ``self.x`` expression, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
 def subscript_root_attr(node: ast.Subscript) -> str | None:
     """The ``self.<name>`` at the root of a (possibly nested) subscript."""
     value = node.value
@@ -336,20 +347,27 @@ def build_parent_map(root: ast.AST) -> dict[ast.AST, ast.AST]:
     return parents
 
 
-def local_table_aliases(fn: ast.FunctionDef) -> set[str]:
-    """Local names aliasing mutable per-set state rows.
+def local_table_aliases(fn: ast.FunctionDef) -> dict[str, str]:
+    """Local name -> the ``self.<attr>`` state it aliases.
 
-    Recognizes the idiom ``rrpv = self._rrpv[set_index]`` — mutating the
-    alias mutates policy state, so the saturating-counter rule must see
-    through it.
+    Recognizes a whole table (``rrpv = self._rrpv``, the idiom of flat
+    per-line tables) and a row of one (``row = self._t[set_index]``).
+    Writing through the alias writes policy state, so the
+    saturating-counter rule and the snapshot inventory see through it.
     """
-    aliases: set[str] = set()
+    aliases: dict[str, str] = {}
     for stmt in ast.walk(fn):
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Subscript):
-            if subscript_root_attr(stmt.value) is not None:
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        aliases.add(target.id)
+        if not isinstance(stmt, ast.Assign):
+            continue
+        if isinstance(stmt.value, ast.Subscript):
+            root = subscript_root_attr(stmt.value)
+        else:
+            root = self_attr(stmt.value)
+        if root is None:
+            continue
+        for target in stmt.targets:
+            if isinstance(target, ast.Name):
+                aliases[target.id] = root
     return aliases
 
 

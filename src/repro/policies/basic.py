@@ -84,28 +84,26 @@ class FIFOPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._stamp = [[0] * num_ways for _ in range(num_sets)]
+        # One fill stamp per line, indexed set_index * num_ways + way.
+        self._stamp = [0] * (num_sets * num_ways)
         self._clock = 0
 
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        stamps = self._stamp[set_index]
-        victim = 0
-        oldest = stamps[0]
-        for way in range(1, self.num_ways):
-            if stamps[way] < oldest:
-                oldest = stamps[way]
-                victim = way
-        return victim
+        # The first way holding the set's smallest stamp.
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        stamps = self._stamp
+        return stamps.index(min(stamps[base:end]), base, end) - base
 
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
         pass  # FIFO ignores hits by definition
 
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._clock += 1
-        self._stamp[set_index][way] = self._clock
+        self._stamp[set_index * self.num_ways + way] = self._clock
 
     def snapshot_state(self) -> dict[str, object]:
-        oldest = min(min(row) for row in self._stamp)
+        oldest = min(self._stamp)
         return {"clock": self._clock, "oldest_stamp_age": self._clock - oldest}
 
 
@@ -150,25 +148,29 @@ class NRUPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._ref = [[0] * num_ways for _ in range(num_sets)]
+        # One reference bit per line, indexed set_index * num_ways + way.
+        self._ref = [0] * (num_sets * num_ways)
 
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        bits = self._ref[set_index]
-        for way in range(self.num_ways):
-            if not bits[way]:
-                return way
-        for way in range(self.num_ways):
-            bits[way] = 0
+        bits = self._ref
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        try:
+            return bits.index(0, base, end) - base
+        except ValueError:
+            pass
+        for line in range(base, end):
+            bits[line] = 0
         return 0
 
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._ref[set_index][way] = 1
+        self._ref[set_index * self.num_ways + way] = 1
 
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._ref[set_index][way] = 1
+        self._ref[set_index * self.num_ways + way] = 1
 
     def snapshot_state(self) -> dict[str, object]:
-        return {"ref_bits_set": sum(sum(row) for row in self._ref)}
+        return {"ref_bits_set": sum(self._ref)}
 
 
 class TreePLRUPolicy(ReplacementPolicy):
@@ -189,24 +191,29 @@ class TreePLRUPolicy(ReplacementPolicy):
             raise ConfigurationError(
                 f"Tree-PLRU requires a power-of-two way count, got {num_ways}"
             )
-        self._bits = [[0] * max(1, num_ways - 1) for _ in range(num_sets)]
+        # One tree of ways - 1 bits per set, the trees laid end to end:
+        # set s's node n is bit s * tree_size + n.
+        self._tree_size = max(1, num_ways - 1)
+        self._bits = [0] * (num_sets * self._tree_size)
         self._levels = num_ways.bit_length() - 1
 
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        bits = self._bits[set_index]
+        bits = self._bits
+        base = set_index * self._tree_size
         node = 0
         for _ in range(self._levels):
-            node = 2 * node + 1 + bits[node]
+            node = 2 * node + 1 + bits[base + node]
         return node - (self.num_ways - 1)
 
     def _touch(self, set_index: int, way: int) -> None:
-        bits = self._bits[set_index]
+        bits = self._bits
+        base = set_index * self._tree_size
         node = way + (self.num_ways - 1)
         while node:
             parent = (node - 1) // 2
             went_right = node == 2 * parent + 2
             # Point the bit away from the path we just took.
-            bits[parent] = 0 if went_right else 1
+            bits[base + parent] = 0 if went_right else 1
             node = parent
 
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
@@ -216,4 +223,4 @@ class TreePLRUPolicy(ReplacementPolicy):
         self._touch(set_index, way)
 
     def snapshot_state(self) -> dict[str, object]:
-        return {"tree_bits_set": sum(sum(row) for row in self._bits)}
+        return {"tree_bits_set": sum(self._bits)}

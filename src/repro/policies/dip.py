@@ -19,6 +19,7 @@ position, not eviction choice, is where thrash-resistance comes from.
 from __future__ import annotations
 
 from .base import PolicyAccess, ReplacementPolicy
+from .rrip import leader_roles
 
 #: BIP inserts at MRU once every this many fills.
 BIP_EPSILON_PERIOD = 32
@@ -31,18 +32,16 @@ class LIPPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._stamp = [[0] * num_ways for _ in range(num_sets)]
+        # One stamp per line, indexed set_index * num_ways + way.
+        self._stamp = [0] * (num_sets * num_ways)
         self._clock = 0
 
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        stamps = self._stamp[set_index]
-        victim = 0
-        oldest = stamps[0]
-        for way in range(1, self.num_ways):
-            if stamps[way] < oldest:
-                oldest = stamps[way]
-                victim = way
-        return victim
+        # The first way holding the set's smallest stamp.
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        stamps = self._stamp
+        return stamps.index(min(stamps[base:end]), base, end) - base
 
     def _mru_stamp(self) -> int:
         self._clock += 1
@@ -50,19 +49,22 @@ class LIPPolicy(ReplacementPolicy):
 
     def _lru_stamp(self, set_index: int) -> int:
         # One tick older than the current LRU line, i.e. next victim.
-        return min(self._stamp[set_index]) - 1
+        base = set_index * self.num_ways
+        return min(self._stamp[base:base + self.num_ways]) - 1
 
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._stamp[set_index][way] = self._mru_stamp()
+        self._stamp[set_index * self.num_ways + way] = self._mru_stamp()
 
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._stamp[set_index][way] = self._insertion_stamp(set_index, access)
+        self._stamp[set_index * self.num_ways + way] = self._insertion_stamp(
+            set_index, access
+        )
 
     def _insertion_stamp(self, set_index: int, access: PolicyAccess) -> int:
         return self._lru_stamp(set_index)
 
     def snapshot_state(self) -> dict[str, object]:
-        oldest = min(min(row) for row in self._stamp)
+        oldest = min(self._stamp)
         return {"clock": self._clock, "oldest_stamp_age": self._clock - oldest}
 
 
@@ -90,8 +92,9 @@ class BIPPolicy(LIPPolicy):
 class DIPPolicy(BIPPolicy):
     """Dynamic Insertion Policy: set-duelling between LRU and BIP.
 
-    Leader selection reuses DRRIP's complement-select scheme (via the
-    same modulo fallback for small caches); misses in LRU leader sets
+    Leader selection is DRRIP's complement-select scheme
+    (:func:`~repro.policies.rrip.leader_roles`, with the same modulo
+    fallback for small caches); misses in LRU leader sets
     increment PSEL, misses in BIP leaders decrement it, and followers
     insert like whichever component's leaders miss less.
     """
@@ -105,24 +108,7 @@ class DIPPolicy(BIPPolicy):
         super().initialize(num_sets, num_ways)
         self._psel_max = (1 << self.PSEL_BITS) - 1
         self._psel = self._psel_max // 2
-        self._leader = [self._classify_set(s, num_sets) for s in range(num_sets)]
-
-    def _classify_set(self, set_index: int, num_sets: int) -> int:
-        index_bits = max(1, (num_sets - 1).bit_length())
-        k = self.NUM_LEADER_BITS
-        if index_bits < 2 * k:
-            if set_index % 32 == 0:
-                return 1  # LRU leader
-            if set_index % 32 == 1:
-                return -1  # BIP leader
-            return 0
-        low = set_index & ((1 << k) - 1)
-        high = (set_index >> k) & ((1 << k) - 1)
-        if low == high:
-            return 1
-        if low == (~high & ((1 << k) - 1)):
-            return -1
-        return 0
+        self._leader = leader_roles(num_sets, self.NUM_LEADER_BITS)
 
     def record_demand_miss(self, set_index: int) -> None:
         """PSEL update for a demand miss in a leader set.

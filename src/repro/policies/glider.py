@@ -18,6 +18,7 @@ confidence), training margin 100.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 from ..trace.record import AccessKind
 from .base import PolicyAccess, ReplacementPolicy
@@ -40,6 +41,12 @@ THRESHOLD_CONFIDENT = 60
 TRAINING_MARGIN = 100
 
 
+#: The weights of an ISVM never trained: all zero. Absent ISVMs share
+#: this tuple (it cannot be written by mistake); the first training gives
+#: an ISVM its own list.
+UNTRAINED_WEIGHTS = (0,) * ISVM_WEIGHTS
+
+
 def isvm_index(pc: int) -> int:
     """Select the ISVM for the triggering PC."""
     return (pc ^ (pc >> ISVM_TABLE_BITS) ^ (pc >> (2 * ISVM_TABLE_BITS))) & (
@@ -59,12 +66,13 @@ class GliderPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._rrpv = [[HAWKEYE_RRPV_MAX] * num_ways for _ in range(num_sets)]
-        self._line_friendly = [[False] * num_ways for _ in range(num_sets)]
-        self._line_features = [
-            [((0, ()))] * num_ways for _ in range(num_sets)
-        ]  # (isvm index, weight indices) of the last touch
-        self._isvms = [[0] * ISVM_WEIGHTS for _ in range(ISVM_TABLE_SIZE)]
+        # Per-line tables, indexed set_index * num_ways + way.
+        lines = num_sets * num_ways
+        self._rrpv = [HAWKEYE_RRPV_MAX] * lines
+        self._line_friendly = [False] * lines
+        # (isvm index, weight indices) of each line's last touch.
+        self._line_features: list[tuple[int, tuple[int, ...]]] = [(0, ())] * lines
+        self._isvms: list[Sequence[int]] = [UNTRAINED_WEIGHTS] * ISVM_TABLE_SIZE
         self._pchr: deque[int] = deque(maxlen=PCHR_LENGTH)
         # Per-slot occupancy of the PCHR plus the cached sorted distinct
         # slot tuple, maintained incrementally by _push_history so
@@ -86,21 +94,18 @@ class GliderPolicy(ReplacementPolicy):
         """
         counts = self._pchr_slot_counts
         pchr = self._pchr
-        changed = False
-        if len(pchr) == PCHR_LENGTH:
-            oldest = weight_index(pchr[0])
-            counts[oldest] -= 1
-            if not counts[oldest]:
-                changed = True
         slot = weight_index(pc)
-        counts[slot] += 1
-        if counts[slot] == 1:
-            changed = True
+        # The slot of the PC the full history drops, or -1.
+        oldest = weight_index(pchr[0]) if len(pchr) == PCHR_LENGTH else -1
         pchr.append(pc)
-        if changed:
-            self._pchr_slots = tuple(
-                s for s in range(ISVM_WEIGHTS) if counts[s]
-            )
+        if slot != oldest:  # else one PC of the slot leaves, one enters
+            if oldest >= 0:
+                counts[oldest] -= 1
+            counts[slot] += 1
+            if counts[slot] == 1 or (oldest >= 0 and not counts[oldest]):
+                self._pchr_slots = tuple(
+                    s for s in range(ISVM_WEIGHTS) if counts[s]
+                )
 
     def _features(self, pc: int) -> tuple[int, tuple[int, ...]]:
         """The (ISVM, weight-slot) feature tuple for the current history."""
@@ -114,6 +119,8 @@ class GliderPolicy(ReplacementPolicy):
     def _train(self, features: tuple[int, tuple[int, ...]], opt_hit: bool) -> None:
         table, slots = features
         weights = self._isvms[table]
+        if not isinstance(weights, list):  # UNTRAINED_WEIGHTS
+            weights = self._isvms[table] = [0] * ISVM_WEIGHTS
         total = sum(map(weights.__getitem__, slots))
         if opt_hit:
             if total < TRAINING_MARGIN:  # margin: stop once confidently positive
@@ -143,21 +150,26 @@ class GliderPolicy(ReplacementPolicy):
 
     # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        rrpv = self._rrpv[set_index]
-        if HAWKEYE_RRPV_MAX in rrpv:
-            return rrpv.index(HAWKEYE_RRPV_MAX)
-        victim = rrpv.index(max(rrpv))
-        if self._line_friendly[set_index][victim]:
+        rrpv = self._rrpv
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        try:
+            return rrpv.index(HAWKEYE_RRPV_MAX, base, end) - base
+        except ValueError:
+            pass
+        victim = rrpv.index(max(rrpv[base:end]), base, end)
+        if self._line_friendly[victim]:
             # Evicting a line we promised to keep: detrain its features.
-            self._train(self._line_features[set_index][victim], opt_hit=False)
-        return victim
+            self._train(self._line_features[victim], opt_hit=False)
+        return victim - base
 
     # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
+        line = set_index * self.num_ways + way
         if access.kind == _KIND_WRITEBACK:
-            self._line_friendly[set_index][way] = False
-            self._line_features[set_index][way] = (0, ())
-            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            self._line_friendly[line] = False
+            self._line_features[line] = (0, ())
+            self._rrpv[line] = HAWKEYE_RRPV_MAX
             return
         pc = access.pc
         features = self._features(pc)
@@ -166,41 +178,43 @@ class GliderPolicy(ReplacementPolicy):
         self._sample(set_index, access, features)
         total = self._sum(features)
         self._push_history(pc)
-        self._line_features[set_index][way] = features
+        self._line_features[line] = features
         if total < THRESHOLD_AVERSE:
-            self._line_friendly[set_index][way] = False
-            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            self._line_friendly[line] = False
+            self._rrpv[line] = HAWKEYE_RRPV_MAX
             return
-        self._line_friendly[set_index][way] = True
+        self._line_friendly[line] = True
         # High-confidence friendly lines are pinned at 0; low-confidence
         # ones start slightly aged so they yield to confident lines.
-        self._rrpv[set_index][way] = 0 if total >= THRESHOLD_CONFIDENT else 2
+        self._rrpv[line] = 0 if total >= THRESHOLD_CONFIDENT else 2
 
     # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
+        line = set_index * self.num_ways + way
         if access.kind == _KIND_WRITEBACK:
-            self._line_friendly[set_index][way] = False
-            self._line_features[set_index][way] = (0, ())
-            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            self._line_friendly[line] = False
+            self._line_features[line] = (0, ())
+            self._rrpv[line] = HAWKEYE_RRPV_MAX
             return
         pc = access.pc
         features = self._features(pc)
         self._sample(set_index, access, features)
         total = self._sum(features)
         self._push_history(pc)
-        self._line_features[set_index][way] = features
+        self._line_features[line] = features
+        rrpv = self._rrpv
         if total < THRESHOLD_AVERSE:
-            self._line_friendly[set_index][way] = False
-            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            self._line_friendly[line] = False
+            rrpv[line] = HAWKEYE_RRPV_MAX
             self.stat_averse_fills += 1
             return
-        self._line_friendly[set_index][way] = True
+        self._line_friendly[line] = True
         self.stat_friendly_fills += 1
-        rrpv = self._rrpv[set_index]
-        for w, value in enumerate(rrpv):
-            if w != way and value < HAWKEYE_RRPV_MAX - 1:
-                rrpv[w] += 1
-        rrpv[way] = 0 if total >= THRESHOLD_CONFIDENT else 2
+        base = set_index * self.num_ways
+        for other in range(base, base + self.num_ways):
+            if other != line and rrpv[other] < HAWKEYE_RRPV_MAX - 1:
+                rrpv[other] += 1
+        rrpv[line] = 0 if total >= THRESHOLD_CONFIDENT else 2
 
     # -- warm-state protocol ------------------------------------------------------
 
@@ -220,8 +234,7 @@ class GliderPolicy(ReplacementPolicy):
                 f"ISVM checkpoint has {len(isvms)} tables, "  # type: ignore[arg-type]
                 f"expected {ISVM_TABLE_SIZE}"
             )
-        for weights, recorded in zip(self._isvms, isvms):  # type: ignore[arg-type]
-            weights[:] = recorded
+        self._isvms[:] = map(list, isvms)  # type: ignore[arg-type]
         # Rebuild the PCHR and its incrementally-maintained slot caches
         # from scratch so they agree by construction.
         self._pchr = deque(tables["pchr"], maxlen=PCHR_LENGTH)  # type: ignore[arg-type]
@@ -247,16 +260,14 @@ class GliderPolicy(ReplacementPolicy):
                     positive += 1
                 elif weight < 0:
                     negative += 1
-        rrpv_hist = [0] * (HAWKEYE_RRPV_MAX + 1)
-        for row in self._rrpv:
-            for value in row:
-                rrpv_hist[value] += 1
+        rrpv = self._rrpv
+        rrpv_hist = [rrpv.count(value) for value in range(HAWKEYE_RRPV_MAX + 1)]
         return {
             "isvm_positive_weights": positive,
             "isvm_negative_weights": negative,
             "isvm_total_weights": ISVM_TABLE_SIZE * ISVM_WEIGHTS,
             "rrpv_histogram": rrpv_hist,
-            "friendly_lines": sum(sum(row) for row in self._line_friendly),
+            "friendly_lines": sum(self._line_friendly),
             "pchr_depth": len(self._pchr),
             "pchr_distinct_slots": len(self._pchr_slots),
             "pchr_slot_counts": list(self._pchr_slot_counts),

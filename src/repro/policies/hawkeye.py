@@ -44,9 +44,11 @@ class HawkeyePolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._rrpv = [[HAWKEYE_RRPV_MAX] * num_ways for _ in range(num_sets)]
-        self._line_friendly = [[False] * num_ways for _ in range(num_sets)]
-        self._line_pc = [[0] * num_ways for _ in range(num_sets)]
+        # Per-line tables, indexed set_index * num_ways + way.
+        lines = num_sets * num_ways
+        self._rrpv = [HAWKEYE_RRPV_MAX] * lines
+        self._line_friendly = [False] * lines
+        self._line_pc = [0] * lines
         self._counters = [FRIENDLY_THRESHOLD] * PREDICTOR_SIZE  # weakly friendly
         self._sampler = SetSampler(num_sets, num_ways)
         self.stat_friendly_fills = 0
@@ -89,52 +91,59 @@ class HawkeyePolicy(ReplacementPolicy):
 
     # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        rrpv = self._rrpv[set_index]
-        if HAWKEYE_RRPV_MAX in rrpv:
-            return rrpv.index(HAWKEYE_RRPV_MAX)
+        rrpv = self._rrpv
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        try:
+            return rrpv.index(HAWKEYE_RRPV_MAX, base, end) - base
+        except ValueError:
+            pass
         # No cache-averse line: evict the oldest friendly line and detrain
         # its PC — the predictor said "keep", OPT-in-hindsight disagrees.
-        victim = rrpv.index(max(rrpv))
-        if self._line_friendly[set_index][victim]:
-            self._detrain(self._line_pc[set_index][victim])
-        return victim
+        victim = rrpv.index(max(rrpv[base:end]), base, end)
+        if self._line_friendly[victim]:
+            self._detrain(self._line_pc[victim])
+        return victim - base
 
     # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._sample(set_index, access)
         if access.kind == _KIND_WRITEBACK:
             return
+        line = set_index * self.num_ways + way
         pc = access.pc
         friendly = self._predict_friendly(pc)
-        self._line_friendly[set_index][way] = friendly
-        self._line_pc[set_index][way] = pc
-        self._rrpv[set_index][way] = 0 if friendly else HAWKEYE_RRPV_MAX
+        self._line_friendly[line] = friendly
+        self._line_pc[line] = pc
+        self._rrpv[line] = 0 if friendly else HAWKEYE_RRPV_MAX
 
     # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._sample(set_index, access)
+        line = set_index * self.num_ways + way
         if access.kind == _KIND_WRITEBACK:
             # Writebacks carry no PC: insert averse so they leave quickly.
-            self._line_friendly[set_index][way] = False
-            self._line_pc[set_index][way] = 0
-            self._rrpv[set_index][way] = HAWKEYE_RRPV_MAX
+            self._line_friendly[line] = False
+            self._line_pc[line] = 0
+            self._rrpv[line] = HAWKEYE_RRPV_MAX
             return
         pc = access.pc
         friendly = self._predict_friendly(pc)
-        self._line_friendly[set_index][way] = friendly
-        self._line_pc[set_index][way] = pc
-        rrpv = self._rrpv[set_index]
+        self._line_friendly[line] = friendly
+        self._line_pc[line] = pc
+        rrpv = self._rrpv
         if friendly:
             self.stat_friendly_fills += 1
             # Age every other line so relative insertion order among
             # friendly lines is preserved (the reference's saturating age).
-            for w, value in enumerate(rrpv):
-                if w != way and value < HAWKEYE_RRPV_MAX - 1:
-                    rrpv[w] += 1
-            rrpv[way] = 0
+            base = set_index * self.num_ways
+            for other in range(base, base + self.num_ways):
+                if other != line and rrpv[other] < HAWKEYE_RRPV_MAX - 1:
+                    rrpv[other] += 1
+            rrpv[line] = 0
         else:
             self.stat_averse_fills += 1
-            rrpv[way] = HAWKEYE_RRPV_MAX
+            rrpv[line] = HAWKEYE_RRPV_MAX
 
     # -- warm-state protocol ------------------------------------------------------
 
@@ -169,17 +178,15 @@ class HawkeyePolicy(ReplacementPolicy):
         hist = [0] * (COUNTER_MAX + 1)
         for counter in self._counters:
             hist[counter] += 1
-        rrpv_hist = [0] * (HAWKEYE_RRPV_MAX + 1)
-        for row in self._rrpv:
-            for value in row:
-                rrpv_hist[value] += 1
+        rrpv = self._rrpv
+        rrpv_hist = [rrpv.count(value) for value in range(HAWKEYE_RRPV_MAX + 1)]
         return {
             "predictor_histogram": hist,
             "predictor_friendly_fraction": (
                 sum(hist[FRIENDLY_THRESHOLD:]) / PREDICTOR_SIZE
             ),
             "rrpv_histogram": rrpv_hist,
-            "friendly_lines": sum(sum(row) for row in self._line_friendly),
+            "friendly_lines": sum(self._line_friendly),
             "friendly_fills": self.stat_friendly_fills,
             "averse_fills": self.stat_averse_fills,
             "optgen_hit_rate": self.optgen_hit_rate,

@@ -59,11 +59,13 @@ class MPPPBPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._stamp = [[0] * num_ways for _ in range(num_sets)]
+        # Per-line tables, indexed set_index * num_ways + way.
+        lines = num_sets * num_ways
+        self._stamp = [0] * lines
         self._clock = 0
-        self._line_dead = [[False] * num_ways for _ in range(num_sets)]
-        self._line_features = [[None] * num_ways for _ in range(num_sets)]
-        self._line_reused = [[True] * num_ways for _ in range(num_sets)]
+        self._line_dead = [False] * lines
+        self._line_features: list[tuple[int, ...] | None] = [None] * lines
+        self._line_reused = [True] * lines
         self._weights = [[0] * TABLE_SIZE for _ in range(NUM_FEATURES)]
         self._pc_history: deque[int] = deque(maxlen=PC_HISTORY_LENGTH)
         self.stat_bypasses = 0
@@ -127,55 +129,61 @@ class MPPPBPolicy(ReplacementPolicy):
                 return BYPASS
         # Prefer the least recently touched predicted-dead line; fall back
         # to LRU.
-        dead = self._line_dead[set_index]
-        stamps = self._stamp[set_index]
-        if True in dead:
-            victim = -1
-            oldest = 0
-            for way, is_dead in enumerate(dead):
-                if is_dead and (victim < 0 or stamps[way] < oldest):
-                    victim = way
-                    oldest = stamps[way]
-            return victim
-        return stamps.index(min(stamps))
+        dead = self._line_dead
+        stamps = self._stamp
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        try:
+            victim = dead.index(True, base, end)
+        except ValueError:
+            return stamps.index(min(stamps[base:end]), base, end) - base
+        oldest = stamps[victim]
+        for line in range(victim + 1, end):
+            if dead[line] and stamps[line] < oldest:
+                victim = line
+                oldest = stamps[line]
+        return victim - base
 
     # hot
-    def _touch(self, set_index: int, way: int, access: PolicyAccess) -> None:
+    def _touch(self, set_index: int, line: int, access: PolicyAccess) -> None:
         self._clock += 1
-        self._stamp[set_index][way] = self._clock
+        self._stamp[line] = self._clock
         if access.kind == _KIND_WRITEBACK:
-            self._line_dead[set_index][way] = True
-            self._line_features[set_index][way] = None
-            self._line_reused[set_index][way] = True
+            self._line_dead[line] = True
+            self._line_features[line] = None
+            self._line_reused[line] = True
             return
         features = self._features(access)
-        self._line_dead[set_index][way] = self._sum(features) >= THETA_DEAD
+        self._line_dead[line] = self._sum(features) >= THETA_DEAD
         if not set_index % SAMPLE_STRIDE:
-            self._line_features[set_index][way] = features
+            self._line_features[line] = features
         self._pc_history.append(access.pc)
 
     # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
+        line = set_index * self.num_ways + way
         if not set_index % SAMPLE_STRIDE:
-            prior = self._line_features[set_index][way]
+            prior = self._line_features[line]
             if prior is not None:
                 self._train(prior, dead=False)  # the line was reused: live
-        self._line_reused[set_index][way] = True
-        self._touch(set_index, way, access)
+        self._line_reused[line] = True
+        self._touch(set_index, line, access)
 
     # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
+        line = set_index * self.num_ways + way
         self.stat_fills += 1
-        self._line_reused[set_index][way] = False
-        self._touch(set_index, way, access)
+        self._line_reused[line] = False
+        self._touch(set_index, line, access)
 
     # hot
     def on_eviction(self, set_index: int, way: int, victim_block: int) -> None:
+        line = set_index * self.num_ways + way
         if not set_index % SAMPLE_STRIDE:
-            prior = self._line_features[set_index][way]
-            if prior is not None and not self._line_reused[set_index][way]:
+            prior = self._line_features[line]
+            if prior is not None and not self._line_reused[line]:
                 self._train(prior, dead=True)  # evicted untouched: dead
-        self._line_features[set_index][way] = None
+        self._line_features[line] = None
 
     # -- warm-state protocol ------------------------------------------------------
 
@@ -219,15 +227,15 @@ class MPPPBPolicy(ReplacementPolicy):
                     positive += 1
                 elif weight < 0:
                     negative += 1
-        oldest = min(min(row) for row in self._stamp)
+        oldest = min(self._stamp)
         return {
             "weight_positive": positive,
             "weight_negative": negative,
             "weight_total": NUM_FEATURES * TABLE_SIZE,
             "clock": self._clock,
             "oldest_stamp_age": self._clock - oldest,
-            "dead_lines": sum(sum(row) for row in self._line_dead),
-            "reused_lines": sum(sum(row) for row in self._line_reused),
+            "dead_lines": sum(self._line_dead),
+            "reused_lines": sum(self._line_reused),
             "pc_history_depth": len(self._pc_history),
             "bypasses": self.stat_bypasses,
             "fills": self.stat_fills,

@@ -14,6 +14,8 @@ component selected by the standard complement-select scheme.
 
 from __future__ import annotations
 
+import functools
+
 from ..trace.record import AccessKind
 from .base import PolicyAccess, ReplacementPolicy
 
@@ -26,6 +28,33 @@ RRPV_BITS = 2
 RRPV_MAX = (1 << RRPV_BITS) - 1
 #: BRRIP inserts with long re-reference interval once every N fills.
 BRRIP_LONG_PERIOD = 32
+
+
+@functools.cache
+def leader_roles(num_sets: int, leader_bits: int) -> tuple[int, ...]:
+    """Each set's set-duelling role: +1, -1 or 0 (follower).
+
+    +1 marks a leader of the first component (SRRIP for DRRIP, LRU
+    insertion for DIP), -1 a leader of the second. Complement-select:
+    with ``k = leader_bits``, a set leads the first component when its
+    low-order k bits equal its next k bits, and the second when they
+    equal the bitwise complement of those bits. Caches with fewer than
+    2k index bits fall back to a modulo scheme (sets 0 and 1 of every
+    32). The roles depend only on the geometry, so every policy of one
+    set count shares one immutable tuple.
+    """
+    index_bits = max(1, (num_sets - 1).bit_length())
+    if index_bits < 2 * leader_bits:
+        return tuple(
+            1 if s % 32 == 0 else -1 if s % 32 == 1 else 0 for s in range(num_sets)
+        )
+    mask = (1 << leader_bits) - 1
+    roles = []
+    for s in range(num_sets):
+        low = s & mask
+        high = (s >> leader_bits) & mask
+        roles.append(1 if low == high else -1 if low == (~high & mask) else 0)
+    return tuple(roles)
 
 
 class SRRIPPolicy(ReplacementPolicy):
@@ -41,24 +70,34 @@ class SRRIPPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._rrpv = [[RRPV_MAX] * num_ways for _ in range(num_sets)]
+        # One RRPV per line, indexed set_index * num_ways + way.
+        self._rrpv = [RRPV_MAX] * (num_sets * num_ways)
 
     # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
-        # Age the whole set until some line is distant; evict the first.
-        rrpv = self._rrpv[set_index]
-        while RRPV_MAX not in rrpv:
-            for way in range(self.num_ways):
-                rrpv[way] += 1
-        return rrpv.index(RRPV_MAX)
+        # The first distant line. Without one, age the whole set until
+        # its oldest line is distant, and evict that line.
+        rrpv = self._rrpv
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        try:
+            return rrpv.index(RRPV_MAX, base, end) - base
+        except ValueError:
+            pass
+        oldest = max(rrpv[base:end])
+        while oldest < RRPV_MAX:
+            for line in range(base, end):
+                rrpv[line] += 1
+            oldest += 1
+        return rrpv.index(RRPV_MAX, base, end) - base
 
     # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._rrpv[set_index][way] = 0
+        self._rrpv[set_index * self.num_ways + way] = 0
 
     # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
-        self._rrpv[set_index][way] = RRPV_MAX - 1
+        self._rrpv[set_index * self.num_ways + way] = RRPV_MAX - 1
 
     def checkpoint_tables(self) -> dict[str, object]:
         # SRRIP's only state is per-line RRPVs, which the sampling
@@ -70,11 +109,8 @@ class SRRIPPolicy(ReplacementPolicy):
         pass
 
     def snapshot_state(self) -> dict[str, object]:
-        hist = [0] * (RRPV_MAX + 1)
-        for row in self._rrpv:
-            for value in row:
-                hist[value] += 1
-        return {"rrpv_histogram": hist}
+        rrpv = self._rrpv
+        return {"rrpv_histogram": [rrpv.count(value) for value in range(RRPV_MAX + 1)]}
 
 
 class BRRIPPolicy(SRRIPPolicy):
@@ -95,9 +131,9 @@ class BRRIPPolicy(SRRIPPolicy):
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
         self._fill_count += 1
         if self._fill_count % BRRIP_LONG_PERIOD == 0:
-            self._rrpv[set_index][way] = RRPV_MAX - 1
+            self._rrpv[set_index * self.num_ways + way] = RRPV_MAX - 1
         else:
-            self._rrpv[set_index][way] = RRPV_MAX
+            self._rrpv[set_index * self.num_ways + way] = RRPV_MAX
 
     def checkpoint_tables(self) -> dict[str, object]:
         tables = super().checkpoint_tables()
@@ -134,31 +170,7 @@ class DRRIPPolicy(SRRIPPolicy):
         self._psel_max = (1 << self.PSEL_BITS) - 1
         self._psel = self._psel_max // 2
         self._fill_count = 0
-        self._leader = [self._classify_set(s, num_sets) for s in range(num_sets)]
-
-    def _classify_set(self, set_index: int, num_sets: int) -> int:
-        """Return +1 for SRRIP leaders, -1 for BRRIP leaders, 0 for followers.
-
-        Complement-select: with ``k = NUM_LEADER_BITS``, a set leads SRRIP
-        when its low-order k bits equal its next k bits, and leads BRRIP
-        when they equal the bitwise complement of those bits. For caches
-        with fewer than 2k index bits, fall back to a modulo scheme.
-        """
-        index_bits = max(1, (num_sets - 1).bit_length())
-        k = self.NUM_LEADER_BITS
-        if index_bits < 2 * k:
-            if set_index % 32 == 0:
-                return 1
-            if set_index % 32 == 1:
-                return -1
-            return 0
-        low = set_index & ((1 << k) - 1)
-        high = (set_index >> k) & ((1 << k) - 1)
-        if low == high:
-            return 1
-        if low == (~high & ((1 << k) - 1)):
-            return -1
-        return 0
+        self._leader = leader_roles(num_sets, self.NUM_LEADER_BITS)
 
     def _insertion_rrpv(self, set_index: int, access: PolicyAccess) -> int:
         role = self._leader[set_index]
@@ -183,7 +195,7 @@ class DRRIPPolicy(SRRIPPolicy):
                     self._psel += 1
             elif role < 0 and self._psel > 0:
                 self._psel -= 1
-        self._rrpv[set_index][way] = self._insertion_rrpv(set_index, access)
+        self._rrpv[set_index * self.num_ways + way] = self._insertion_rrpv(set_index, access)
 
     def checkpoint_tables(self) -> dict[str, object]:
         tables = super().checkpoint_tables()
@@ -206,3 +218,4 @@ class DRRIPPolicy(SRRIPPolicy):
             "srrip" if self._psel < (self._psel_max + 1) // 2 else "brrip"
         )
         return state
+

@@ -40,20 +40,30 @@ class SHiPPolicy(ReplacementPolicy):
 
     def initialize(self, num_sets: int, num_ways: int) -> None:
         super().initialize(num_sets, num_ways)
-        self._rrpv = [[RRPV_MAX] * num_ways for _ in range(num_sets)]
-        self._line_sig = [[0] * num_ways for _ in range(num_sets)]
-        self._line_reused = [[False] * num_ways for _ in range(num_sets)]
-        self._line_valid = [[False] * num_ways for _ in range(num_sets)]
+        # Per-line tables, indexed set_index * num_ways + way.
+        lines = num_sets * num_ways
+        self._rrpv = [RRPV_MAX] * lines
+        self._line_sig = [0] * lines
+        self._line_reused = [False] * lines
+        self._line_valid = [False] * lines
         self._shct = [SHCT_MAX // 2 + 1] * SHCT_SIZE  # weakly reusable start
 
     # hot
     def find_victim(self, set_index: int, access: PolicyAccess, tags: list[int]) -> int:
         # SRRIP's victim search: age the set until some line is distant.
-        rrpv = self._rrpv[set_index]
-        while RRPV_MAX not in rrpv:
-            for way in range(self.num_ways):
-                rrpv[way] += 1
-        return rrpv.index(RRPV_MAX)
+        rrpv = self._rrpv
+        base = set_index * self.num_ways
+        end = base + self.num_ways
+        try:
+            return rrpv.index(RRPV_MAX, base, end) - base
+        except ValueError:
+            pass
+        oldest = max(rrpv[base:end])
+        while oldest < RRPV_MAX:
+            for line in range(base, end):
+                rrpv[line] += 1
+            oldest += 1
+        return rrpv.index(RRPV_MAX, base, end) - base
 
     # hot
     def on_hit(self, set_index: int, way: int, access: PolicyAccess) -> None:
@@ -62,37 +72,40 @@ class SHiPPolicy(ReplacementPolicy):
             # predictor in the ChampSim reference: neither promote the
             # line nor train the SHCT on them.
             return
-        self._rrpv[set_index][way] = 0
-        if self._line_valid[set_index][way] and not self._line_reused[set_index][way]:
-            self._line_reused[set_index][way] = True
-            sig = self._line_sig[set_index][way]
+        line = set_index * self.num_ways + way
+        self._rrpv[line] = 0
+        if self._line_valid[line] and not self._line_reused[line]:
+            self._line_reused[line] = True
+            sig = self._line_sig[line]
             if self._shct[sig] < SHCT_MAX:
                 self._shct[sig] += 1
 
     # hot
     def on_eviction(self, set_index: int, way: int, victim_block: int) -> None:
-        if self._line_valid[set_index][way] and not self._line_reused[set_index][way]:
-            sig = self._line_sig[set_index][way]
+        line = set_index * self.num_ways + way
+        if self._line_valid[line] and not self._line_reused[line]:
+            sig = self._line_sig[line]
             if self._shct[sig] > 0:
                 self._shct[sig] -= 1
-        self._line_valid[set_index][way] = False
+        self._line_valid[line] = False
 
     # hot
     def on_fill(self, set_index: int, way: int, access: PolicyAccess) -> None:
+        line = set_index * self.num_ways + way
         sig = pc_signature(access.pc)
-        self._line_sig[set_index][way] = sig
-        self._line_reused[set_index][way] = False
-        self._line_valid[set_index][way] = True
+        self._line_sig[line] = sig
+        self._line_reused[line] = False
         if access.kind == _KIND_WRITEBACK:
             # Writebacks carry no PC; insert at distant RRPV, as in the
             # ChampSim reference, so they cannot pollute the SHCT.
-            self._rrpv[set_index][way] = RRPV_MAX
-            self._line_valid[set_index][way] = False
+            self._rrpv[line] = RRPV_MAX
+            self._line_valid[line] = False
             return
+        self._line_valid[line] = True
         if self._shct[sig] == 0:
-            self._rrpv[set_index][way] = RRPV_MAX
+            self._rrpv[line] = RRPV_MAX
         else:
-            self._rrpv[set_index][way] = RRPV_MAX - 1
+            self._rrpv[line] = RRPV_MAX - 1
 
     def checkpoint_tables(self) -> dict[str, object]:
         return {"shct": list(self._shct)}
@@ -109,15 +122,12 @@ class SHiPPolicy(ReplacementPolicy):
         shct_hist = [0] * (SHCT_MAX + 1)
         for counter in self._shct:
             shct_hist[counter] += 1
-        rrpv_hist = [0] * (RRPV_MAX + 1)
-        for row in self._rrpv:
-            for value in row:
-                rrpv_hist[value] += 1
-        tracked = sum(sum(row) for row in self._line_valid)
+        rrpv = self._rrpv
+        rrpv_hist = [rrpv.count(value) for value in range(RRPV_MAX + 1)]
+        tracked = sum(self._line_valid)
         reused = sum(
             1
-            for vrow, rrow in zip(self._line_valid, self._line_reused)
-            for valid, hit in zip(vrow, rrow)
+            for valid, hit in zip(self._line_valid, self._line_reused)
             if valid and hit
         )
         return {

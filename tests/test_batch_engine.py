@@ -341,20 +341,26 @@ class TestDefaultSweepPath:
             assert outcome.stats.simulated == len(traces)
 
     @pytest.mark.parametrize(
-        "names, jobs, expected",
+        "names, jobs, cpus, expected",
         [
             # 2 jobs // 1 trace = 2 units, policies dealt round-robin.
-            (("zipf",), 2, [("zipf", ["lru", "drrip"]), ("zipf", ["ship"])]),
+            (("zipf",), 2, 4, [("zipf", ["lru", "drrip"]), ("zipf", ["ship"])]),
             # 3 jobs // 2 traces = 1: splitting both traces would queue a
             # second plan pass behind the first on one of three workers.
-            (("zipf", "stream"), 3, [("stream", POLICIES), ("zipf", POLICIES)]),
+            (("zipf", "stream"), 3, 4, [("stream", POLICIES), ("zipf", POLICIES)]),
+            # min(4 jobs, 2 CPUs) // 1 trace = 2: four units would run
+            # four plan passes on two CPUs.
+            (("zipf",), 4, 2, [("zipf", ["lru", "drrip"]), ("zipf", ["ship"])]),
         ],
-        ids=["one-trace-2-jobs", "two-traces-3-jobs"],
+        ids=["one-trace-2-jobs", "two-traces-3-jobs", "one-trace-4-jobs-2-cpus"],
     )
     def test_units_split_only_onto_spare_workers(
         self, machine, traces, reference_baseline, monkeypatch,
-        names, jobs, expected,
+        names, jobs, cpus, expected,
     ):
+        import repro.harness.engine as engine_module
+
+        monkeypatch.setattr(engine_module, "usable_cpus", lambda: cpus)
         captured = recording_pool(monkeypatch)
         subset = {name: traces[name] for name in names}
         outcome = SweepEngine(jobs=jobs).run(subset, POLICIES, config=machine)

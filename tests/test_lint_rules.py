@@ -328,6 +328,35 @@ class TestSaturatingCounters:
         """, rule="saturating-counters")
         assert len(findings) == 1
 
+    def test_flat_table_alias_is_seen_through(self, tmp_path):
+        # Flat per-line tables are aliased whole, not row by row.
+        findings = lint_source(tmp_path, """
+            class FlatAliased(ReplacementPolicy):
+                name = "flat-aliased"
+
+                def on_fill(self, set_index, way, access):
+                    rrpv = self._rrpv
+                    base = set_index * self.num_ways
+                    for line in range(base, base + self.num_ways):
+                        rrpv[line] += 1
+        """, rule="saturating-counters")
+        assert len(findings) == 1
+        assert "FlatAliased.on_fill" in findings[0].message
+
+    def test_guarded_flat_table_alias_passes(self, tmp_path):
+        findings = lint_source(tmp_path, """
+            class FlatBounded(ReplacementPolicy):
+                name = "flat-bounded"
+
+                def on_fill(self, set_index, way, access):
+                    rrpv = self._rrpv
+                    base = set_index * self.num_ways
+                    for line in range(base, base + self.num_ways):
+                        if rrpv[line] < 3:
+                            rrpv[line] += 1
+        """, rule="saturating-counters")
+        assert findings == []
+
     def test_guard_in_enclosing_while_passes(self, tmp_path):
         # SRRIP-style aging: the loop's exit comparison is the bound.
         findings = lint_source(tmp_path, """

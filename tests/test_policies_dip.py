@@ -64,7 +64,7 @@ class TestBIP:
         mru_count = 0
         for i in range(2 * BIP_EPSILON_PERIOD):
             p.on_fill(0, i % 4, PolicyAccess(i, 0, LOAD))
-            if p._stamp[0][i % 4] == p._clock and p._clock > 0:
+            if p._stamp[i % 4] == p._clock and p._clock > 0:
                 mru_count += 1
         assert mru_count == 2  # exactly one per epsilon period
 

@@ -100,7 +100,7 @@ class TestInsertion:
         for _ in range(10):
             p._train(features, opt_hit=False)
         p.on_fill(2, 0, PolicyAccess(1, 0x40, LOAD))
-        assert p._rrpv[2][0] == HAWKEYE_RRPV_MAX
+        assert p._rrpv[2 * p.num_ways] == HAWKEYE_RRPV_MAX  # set 2, way 0
         assert p.stat_averse_fills == 1
 
     def test_confident_sum_inserts_zero(self):
@@ -108,11 +108,12 @@ class TestInsertion:
         p._push_history(0x10)
         features = p._features(0x40)
         table, slots = features
+        weights = p._isvms[table] = list(p._isvms[table])  # untrained: shared
         for s in slots:
-            p._isvms[table][s] = WEIGHT_MAX
+            weights[s] = WEIGHT_MAX
         if p._sum(features) >= THRESHOLD_CONFIDENT:
             p.on_fill(2, 0, PolicyAccess(1, 0x40, LOAD))
-            assert p._rrpv[2][0] == 0
+            assert p._rrpv[2 * p.num_ways] == 0
 
     def test_low_confidence_friendly_inserts_aged(self):
         p = make_policy()
@@ -120,12 +121,12 @@ class TestInsertion:
         # weights are all zero -> sum 0 -> friendly but not confident
         assert THRESHOLD_AVERSE <= 0 < THRESHOLD_CONFIDENT
         p.on_fill(2, 0, PolicyAccess(1, 0x40, LOAD))
-        assert p._rrpv[2][0] == 2
+        assert p._rrpv[2 * p.num_ways] == 2
 
     def test_writeback_inserts_averse(self):
         p = make_policy()
         p.on_fill(0, 0, PolicyAccess(1, 0, WB))
-        assert p._rrpv[0][0] == HAWKEYE_RRPV_MAX
+        assert p._rrpv[0] == HAWKEYE_RRPV_MAX
 
 
 class TestEndToEnd:

@@ -52,27 +52,28 @@ class TestInsertion:
         p = make_policy()
         p._counters[predictor_index(0x40)] = 0
         p.on_fill(0, 0, PolicyAccess(1, 0x40, LOAD))
-        assert p._rrpv[0][0] == HAWKEYE_RRPV_MAX
+        assert p._rrpv[0] == HAWKEYE_RRPV_MAX  # set 0: the flat index is the way
         assert p.stat_averse_fills == 1
 
     def test_friendly_pc_inserts_zero_and_ages_others(self):
         p = make_policy(ways=3)
-        p._rrpv[0] = [2, 3, HAWKEYE_RRPV_MAX]
+        p._rrpv[0:3] = [2, 3, HAWKEYE_RRPV_MAX]
         p.on_fill(0, 0, PolicyAccess(1, 0x40, LOAD))
-        assert p._rrpv[0][0] == 0
-        assert p._rrpv[0][1] == 4  # aged
-        assert p._rrpv[0][2] == HAWKEYE_RRPV_MAX  # averse lines stay at max
+        assert p._rrpv[0] == 0
+        assert p._rrpv[1] == 4  # aged
+        assert p._rrpv[2] == HAWKEYE_RRPV_MAX  # averse lines stay at max
+        assert p._rrpv[3] == HAWKEYE_RRPV_MAX  # set 1 is untouched
 
     def test_writeback_inserts_averse(self):
         p = make_policy()
         p.on_fill(0, 0, PolicyAccess(1, 0, WB))
-        assert p._rrpv[0][0] == HAWKEYE_RRPV_MAX
+        assert p._rrpv[0] == HAWKEYE_RRPV_MAX
 
 
 class TestVictim:
     def test_prefers_averse_line(self):
         p = make_policy(ways=3)
-        p._rrpv[0] = [0, HAWKEYE_RRPV_MAX, 2]
+        p._rrpv[0:3] = [0, HAWKEYE_RRPV_MAX, 2]
         assert p.find_victim(0, PolicyAccess(9, 0, LOAD), [1, 2, 3]) == 1
 
     def test_evicting_friendly_line_detrains_its_pc(self):

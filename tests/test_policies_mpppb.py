@@ -62,7 +62,7 @@ class TestTraining:
         assert sampled_set % SAMPLE_STRIDE == 0
         access = PolicyAccess(1, 0x40, LOAD)
         p.on_fill(sampled_set, 0, access)
-        features = p._line_features[sampled_set][0]
+        features = p._line_features[sampled_set * p.num_ways]  # way 0
         assert features is not None
         p.on_hit(sampled_set, 0, access)
         assert p._sum(features) < 0  # trained toward live
@@ -71,7 +71,7 @@ class TestTraining:
         p = make_policy()
         access = PolicyAccess(1, 0x40, LOAD)
         p.on_fill(0, 0, access)
-        features = p._line_features[0][0]
+        features = p._line_features[0]  # set 0, way 0
         p.on_eviction(0, 0, 1)
         assert p._sum(features) > 0
 
@@ -117,7 +117,7 @@ class TestVictimSelection:
         access = PolicyAccess(99, 0x40, LOAD)
         p.on_fill(0, 0, access)
         p.on_fill(0, 1, access)
-        p._line_dead[0][1] = True
+        p._line_dead[1] = True  # set 0, way 1
         victim = p.find_victim(0, PolicyAccess(100, 0x50, LOAD), [1, 2, 3, 4])
         assert victim == 1
 

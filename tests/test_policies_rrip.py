@@ -33,28 +33,28 @@ class TestSRRIPMechanics:
         p = SRRIPPolicy()
         p.initialize(1, 4)
         p.on_fill(0, 0, PolicyAccess(1, 0, LOAD))
-        assert p._rrpv[0][0] == RRPV_MAX - 1
+        assert p._rrpv[0] == RRPV_MAX - 1  # one set: the flat index is the way
 
     def test_hit_promotes_to_zero(self):
         p = SRRIPPolicy()
         p.initialize(1, 4)
         p.on_fill(0, 0, PolicyAccess(1, 0, LOAD))
         p.on_hit(0, 0, PolicyAccess(1, 0, LOAD))
-        assert p._rrpv[0][0] == 0
+        assert p._rrpv[0] == 0
 
     def test_victim_is_distant_line(self):
         p = SRRIPPolicy()
         p.initialize(1, 2)
-        p._rrpv[0] = [RRPV_MAX, 0]
+        p._rrpv[0:2] = [RRPV_MAX, 0]
         assert p.find_victim(0, PolicyAccess(9, 0, LOAD), [1, 2]) == 0
 
     def test_aging_when_no_distant_line(self):
         p = SRRIPPolicy()
         p.initialize(1, 2)
-        p._rrpv[0] = [1, 2]
+        p._rrpv[0:2] = [1, 2]
         victim = p.find_victim(0, PolicyAccess(9, 0, LOAD), [1, 2])
         assert victim == 1  # aged until way 1 reached RRPV_MAX
-        assert p._rrpv[0] == [2, RRPV_MAX]
+        assert p._rrpv[0:2] == [2, RRPV_MAX]
 
 
 class TestScanResistance:
@@ -81,7 +81,7 @@ class TestBRRIP:
         inserted = []
         for i in range(BRRIP_LONG_PERIOD * 2):
             p.on_fill(0, i % 4, PolicyAccess(i, 0, LOAD))
-            inserted.append(p._rrpv[0][i % 4])
+            inserted.append(p._rrpv[i % 4])
         distant = sum(1 for r in inserted if r == RRPV_MAX)
         assert distant == len(inserted) - 2  # one long insert per period
 

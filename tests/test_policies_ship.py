@@ -81,7 +81,7 @@ class TestInsertion:
         sig = pc_signature(0x400)
         p._shct[sig] = 0
         p.on_fill(0, 0, PolicyAccess(1, 0x400, LOAD))
-        assert p._rrpv[0][0] == RRPV_MAX
+        assert p._rrpv[0] == RRPV_MAX
 
     def test_live_signature_inserts_long(self):
         p = SHiPPolicy()
@@ -89,7 +89,7 @@ class TestInsertion:
         sig = pc_signature(0x400)
         p._shct[sig] = SHCT_MAX
         p.on_fill(0, 0, PolicyAccess(1, 0x400, LOAD))
-        assert p._rrpv[0][0] == RRPV_MAX - 1
+        assert p._rrpv[0] == RRPV_MAX - 1
 
     def test_writeback_hit_neither_promotes_nor_trains(self):
         """Regression for the pc-table-hygiene lint finding.
@@ -103,9 +103,9 @@ class TestInsertion:
         sig = pc_signature(0x400)
         p._shct[sig] = 1
         p.on_fill(0, 0, PolicyAccess(1, 0x400, LOAD))
-        rrpv_before = p._rrpv[0][0]
+        rrpv_before = p._rrpv[0]
         p.on_hit(0, 0, PolicyAccess(1, 0, WB))
-        assert p._rrpv[0][0] == rrpv_before  # no promotion to 0
+        assert p._rrpv[0] == rrpv_before  # no promotion to 0
         assert p._shct[sig] == 1  # no SHCT training
         # The line still counts as never-reused: a dead eviction detrains.
         p.on_eviction(0, 0, 1)
@@ -115,7 +115,7 @@ class TestInsertion:
         p = SHiPPolicy()
         p.initialize(1, 4)
         p.on_fill(0, 0, PolicyAccess(1, 0, WB))
-        assert p._rrpv[0][0] == RRPV_MAX
+        assert p._rrpv[0] == RRPV_MAX
         # Evicting a writeback line must not train any signature.
         before = list(p._shct)
         p.on_eviction(0, 0, 1)

@@ -37,10 +37,10 @@ def betweenness_centrality(
     With ``max_accesses`` set, the kernel stops once the trace budget is
     reached (``trace.info["truncated"]`` is set), and the returned
     ``values`` cover only the completed part of the computation: the
-    forward phase stops at the next vertex, and its source adds nothing
-    to the scores; the backward phase stops at the next level, keeping
-    the dependencies of the levels it finished. Correctness tests run
-    without a budget.
+    forward phase stops at the next neighbour, and its source adds
+    nothing to the scores; the backward phase stops at the next vertex,
+    keeping the scores of the vertices it finished. Correctness tests
+    run without a budget.
     """
     n = graph.num_vertices
     if n == 0:
@@ -74,8 +74,9 @@ def betweenness_centrality(
         levels: list[np.ndarray] = [np.array([source], dtype=np.int64)]
 
         # Forward phase: BFS levels with path counting. The budget is
-        # checked per vertex: nothing after the window fills is recorded,
-        # and a source whose forward phase is cut adds nothing to scores.
+        # checked per neighbour: nothing after the window fills is
+        # recorded, and a source whose forward phase is cut adds nothing
+        # to scores.
         while not builder.full:
             frontier = levels[-1]
             next_level: list[int] = []
@@ -107,6 +108,8 @@ def betweenness_centrality(
                             AccessKind.STORE,
                             gaps=KERNEL_GAP,
                         )
+                        if builder.full:
+                            break
             if not next_level:
                 break
             levels.append(np.unique(np.array(next_level, dtype=np.int64)))
@@ -118,10 +121,10 @@ def betweenness_centrality(
         # Backward phase: accumulate dependencies level by level.
         delta = np.zeros(n)
         for frontier in reversed(levels[:-1] if len(levels) > 1 else levels):
-            if builder.full:
-                builder.info["truncated"] = True
-                break
             for u in frontier.tolist():
+                if builder.full:
+                    builder.info["truncated"] = True
+                    break
                 lo = int(graph.offsets[u])
                 hi = int(graph.offsets[u + 1])
                 builder.extend(

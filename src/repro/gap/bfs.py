@@ -43,8 +43,9 @@ def bfs(
     ``num_sources`` trials are concatenated into one trace, with sources
     taken from ``sources`` if given, else ``source`` (single trial), else
     picked deterministically among connected vertices. ``max_accesses``
-    bounds the traced window; when it truncates mid-trial, that trial's
-    ``values`` are partial (``trace.info["truncated"]`` is set).
+    bounds the traced window; once it is full, the kernel stops at the
+    next vertex, and when that cuts a trial short, its ``values`` are
+    partial (``trace.info["truncated"]`` is set).
     """
     n = graph.num_vertices
     if num_sources < 1:
@@ -78,7 +79,7 @@ def bfs(
         frontier = np.array([trial_source], dtype=np.int64)
         edges_done = 0
         while len(frontier):
-            if builder.full and max_accesses is not None:
+            if builder.full:
                 builder.info["truncated"] = True
                 break
             frontier_edges = int(
@@ -108,9 +109,15 @@ def bfs(
 def _top_down_step(
     graph, mem, builder, parents, frontier, pc_oa, pc_na, pc_probe, pc_claim
 ) -> np.ndarray:
-    """Expand the frontier vertex by vertex, claiming new parents."""
+    """Expand the frontier vertex by vertex, claiming new parents.
+
+    Stops at the next vertex once the trace window is full.
+    """
     next_frontier: list[int] = []
     for u in frontier.tolist():
+        if builder.full:
+            builder.info["truncated"] = True
+            break
         lo = int(graph.offsets[u])
         hi = int(graph.offsets[u + 1])
         builder.extend(mem.oa(np.array([u])), pc_oa, AccessKind.LOAD, gaps=KERNEL_GAP)
@@ -136,7 +143,10 @@ def _top_down_step(
 def _bottom_up_step(
     graph, mem, builder, parents, frontier, pc_scan, pc_oa, pc_na, pc_bmp
 ) -> np.ndarray:
-    """Every unvisited vertex searches its row for a frontier member."""
+    """Every unvisited vertex searches its row for a frontier member.
+
+    Stops at the next vertex once the trace window is full.
+    """
     n = graph.num_vertices
     in_frontier = np.zeros(n, dtype=bool)
     in_frontier[frontier] = True
@@ -148,6 +158,9 @@ def _bottom_up_step(
 
     next_frontier: list[int] = []
     for u in np.nonzero(parents == -1)[0].tolist():
+        if builder.full:
+            builder.info["truncated"] = True
+            break
         lo = int(graph.offsets[u])
         hi = int(graph.offsets[u + 1])
         builder.extend(mem.oa(np.array([u])), pc_oa, AccessKind.LOAD, gaps=KERNEL_GAP)

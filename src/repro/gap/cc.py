@@ -12,6 +12,8 @@ access stream shrinks over iterations exactly like SV's hooking phase.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -33,9 +35,9 @@ def connected_components(
 ) -> KernelRun:
     """Label-propagation CC; returns per-vertex component ids + trace.
 
-    ``max_accesses`` bounds the traced window. Once it is full, sweeps
-    stop assembling access streams, but label propagation runs on until
-    no label changes, so ``values`` is exact regardless.
+    ``max_accesses`` bounds the traced window. Once it is full, the
+    kernel stops and label propagation runs on, until no label changes,
+    on the first read of ``values``, so ``values`` is exact regardless.
     """
     n = graph.num_vertices
     if n == 0:
@@ -68,15 +70,35 @@ def connected_components(
                 pc_write=pc_write,
             )
             emit_stream(builder, addrs, stream_pcs, kinds)
+        if builder.full:
+            finish = partial(_propagate, graph, labels, active)
+            return KernelRun(name, trace=builder.build(), pcs=pcs.sites, finish=finish)
+        labels, active = _sweep(graph, src, labels)
+    return KernelRun(name, trace=builder.build(), pcs=pcs.sites, values=labels)
 
-        # The actual propagation: labels take the min over self + neighbours.
-        new_labels = labels.copy()
-        np.minimum.at(new_labels, src, labels[graph.neighbors])
-        changed = np.nonzero(new_labels != labels)[0]
-        labels = new_labels
-        # Next sweep processes changed vertices and their neighbourhoods.
-        touched = np.zeros(n, dtype=bool)
-        touched[changed] = True
-        touched[graph.neighbors[row_edge_indices(graph, changed)]] = True
-        active = np.nonzero(touched)[0]
-    return KernelRun(name=name, values=labels, trace=builder.build(), pcs=pcs.sites)
+
+def _sweep(
+    graph: CSRGraph, src: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One propagation sweep: the new labels and the next sweep's vertices.
+
+    ``src`` is the source vertex of every edge, in NA order.
+    """
+    n = graph.num_vertices
+    # Labels take the min over self + neighbours.
+    new_labels = labels.copy()
+    np.minimum.at(new_labels, src, labels[graph.neighbors])
+    changed = np.nonzero(new_labels != labels)[0]
+    # The next sweep processes changed vertices and their neighbourhoods.
+    touched = np.zeros(n, dtype=bool)
+    touched[changed] = True
+    touched[graph.neighbors[row_edge_indices(graph, changed)]] = True
+    return new_labels, np.nonzero(touched)[0]
+
+
+def _propagate(graph: CSRGraph, labels: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Sweep from ``labels``, ``active`` first, until no label changes."""
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.out_degrees())
+    while len(active):
+        labels, active = _sweep(graph, src, labels)
+    return labels

@@ -15,8 +15,7 @@ per vertex ``u``, concatenated in traversal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,7 +38,6 @@ KERNEL_GAP = 5
 CHUNK_VERTICES = 8192
 
 
-@dataclass
 class KernelRun:
     """What a traced kernel execution produced.
 
@@ -47,12 +45,37 @@ class KernelRun:
     a triangle count, ...) so tests can check correctness; ``trace`` is
     what the simulator consumes; ``pcs`` exposes the kernel's code sites
     for the PC-characterization experiment.
+
+    A kernel passes either ``values`` or ``finish``, a zero-argument
+    callable that computes them. Kernels whose trace window fills before
+    their computation ends hand the rest over as ``finish``, since no
+    record depends on it: the first read of ``values`` runs it once and
+    keeps its result, and dropping it releases the graph and kernel
+    state it holds. Callers that read only ``trace`` never pay for it.
     """
 
-    name: str
-    values: Any
-    trace: Trace
-    pcs: dict[str, int]
+    def __init__(
+        self,
+        name: str,
+        *,
+        trace: Trace,
+        pcs: dict[str, int],
+        values: Any = None,
+        finish: Callable[[], Any] | None = None,
+    ) -> None:
+        self.name = name
+        self.trace = trace
+        self.pcs = pcs
+        self._values = values
+        self._finish = finish
+
+    @property
+    def values(self) -> Any:
+        """The kernel's result, computed on first read if it was deferred."""
+        if self._finish is not None:
+            self._values = self._finish()
+            self._finish = None
+        return self._values
 
 
 def gather_pass_stream(

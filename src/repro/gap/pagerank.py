@@ -17,6 +17,8 @@ contrib gather, rank write per vertex).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -42,9 +44,10 @@ def pagerank(
 ) -> KernelRun:
     """Run ``num_iterations`` of pull PageRank; returns ranks + trace.
 
-    ``max_accesses`` bounds the traced window (SimPoint-style); the rank
-    computation itself always runs all iterations, so ``values`` stays
-    exact even for truncated traces.
+    ``max_accesses`` bounds the traced window (SimPoint-style). Once it
+    is full, the kernel stops and the iterations left run on the first
+    read of ``values``, so ``values`` stays exact even for truncated
+    traces.
     """
     if num_iterations < 1:
         raise WorkloadError("pagerank needs at least one iteration")
@@ -65,19 +68,15 @@ def pagerank(
     pc_gather = pcs.pc("pr.gather_contrib")
     pc_rank_write = pcs.pc("pr.write_rank")
 
-    degrees = graph.out_degrees().astype(np.float64)
-    safe_deg = np.where(degrees > 0, degrees, 1.0)
     ranks = np.full(n, 1.0 / n)
-    base = (1.0 - damping) / n
     all_vertices = np.arange(n, dtype=np.int64)
 
     for iteration in range(num_iterations):
-        contrib = ranks / safe_deg
         # The first iteration's contrib sweep is left untraced: with a
         # bounded window, tracing it would fill the whole window with the
         # (tiny, sequential) init phase instead of the dominant gather
         # phase a SimPoint-style window would land in.
-        if iteration > 0 and not builder.full:
+        if iteration > 0:
             # Contrib sweep: read rank[v], write contrib[v], sequentially.
             sweep_addrs, sweep_pcs = interleave_addr_streams(
                 [
@@ -107,10 +106,26 @@ def pagerank(
                 pc_write=pc_rank_write,
             )
             emit_stream(builder, addrs, stream_pcs, kinds)
+        if builder.full:
+            finish = partial(_pull, graph, ranks, damping, num_iterations - iteration)
+            return KernelRun(name, trace=builder.build(), pcs=pcs.sites, finish=finish)
+        ranks = _pull(graph, ranks, damping, 1)
+    return KernelRun(name, trace=builder.build(), pcs=pcs.sites, values=ranks)
 
+
+def _pull(
+    graph: CSRGraph, ranks: np.ndarray, damping: float, iterations: int
+) -> np.ndarray:
+    """The ranks after ``iterations`` pull iterations from ``ranks``."""
+    n = graph.num_vertices
+    degrees = graph.out_degrees()
+    safe_deg = np.where(degrees > 0, degrees.astype(np.float64), 1.0)
+    base = (1.0 - damping) / n
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    for _ in range(iterations):
+        contrib = ranks / safe_deg
         # Pull sum: for u, sum contrib over its (symmetric) neighbours.
         sums = np.zeros(n)
-        src = np.repeat(all_vertices, graph.out_degrees())
         np.add.at(sums, src, contrib[graph.neighbors])
         ranks = base + damping * sums
-    return KernelRun(name=name, values=ranks, trace=builder.build(), pcs=pcs.sites)
+    return ranks

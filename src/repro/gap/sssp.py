@@ -14,6 +14,8 @@ BFS, which is why SSSP shows the highest MPKI of the suite.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -29,6 +31,9 @@ from .common import (
     vertex_chunks,
 )
 from .memory import row_edge_indices
+
+#: Distance of a vertex no relaxation has reached yet.
+_UNREACHED = np.iinfo(np.int64).max
 
 
 def make_weights(graph: CSRGraph, max_weight: int = 64, seed: int = 7) -> np.ndarray:
@@ -52,9 +57,9 @@ def sssp(
     """Delta-stepping SSSP from ``source``; returns distances + trace.
 
     ``max_accesses`` bounds the traced window. Once it is full, the
-    bucketed loop stops and vectorized relaxation rounds, which record
-    nothing, finish the distances from every queued vertex, so ``values``
-    is exact regardless.
+    bucketed loop stops, and on the first read of ``values`` vectorized
+    relaxation rounds finish the distances from every queued vertex, so
+    ``values`` is exact regardless.
     """
     n = graph.num_vertices
     if source is None:
@@ -80,17 +85,12 @@ def sssp(
     pc_gather = pcs.pc("sssp.read_dist")
     pc_relax = pcs.pc("sssp.write_dist")
 
-    inf = np.iinfo(np.int64).max
-    dist = np.full(n, inf, dtype=np.int64)
+    dist = np.full(n, _UNREACHED, dtype=np.int64)
     dist[source] = 0
     buckets: dict[int, set[int]] = {0: {source}}
     current = 0
 
-    while buckets:
-        if builder.full:
-            queued = sorted(set().union(*buckets.values()))
-            _relax_to_fixpoint(graph, weights, dist, np.array(queued, dtype=np.int64))
-            break
+    while buckets and not builder.full:
         while current not in buckets:
             current = min(buckets)
         frontier = np.array(sorted(buckets.pop(current)), dtype=np.int64)
@@ -114,6 +114,10 @@ def sssp(
             pc_write=0,
         )
         emit_stream(builder, addrs, stream_pcs, kinds)
+        if builder.full:
+            # The bucket's relaxations would record nothing: queue them.
+            buckets[current] = set(frontier.tolist())
+            break
 
         # Relax all edges of the bucket.
         improved: list[int] = []
@@ -144,13 +148,16 @@ def sssp(
             for v in improved_arr.tolist():
                 bucket = int(dist[v]) // delta
                 buckets.setdefault(bucket, set()).add(v)
-    dist[dist == inf] = -1
-    return KernelRun(name=name, values=dist, trace=builder.build(), pcs=pcs.sites)
+    # Vertices still queued when the window filled (none when the loop
+    # ran to its end) have not relaxed their edges yet.
+    queued = np.array(sorted(set().union(*buckets.values())), dtype=np.int64)
+    finish = partial(_relax_to_fixpoint, graph, weights, dist, queued)
+    return KernelRun(name, trace=builder.build(), pcs=pcs.sites, finish=finish)
 
 
 def _relax_to_fixpoint(
     graph: CSRGraph, weights: np.ndarray, dist: np.ndarray, active: np.ndarray
-) -> None:
+) -> np.ndarray:
     """Finish ``dist`` in place with vectorized Bellman-Ford rounds.
 
     ``active`` must hold every vertex whose current distance has not had
@@ -159,6 +166,7 @@ def _relax_to_fixpoint(
     the previous one until nothing improves, which leaves the shortest
     distances: unique, so equal to what the bucketed loop would reach.
     Rounds walk the vertices in chunks, which bounds their memory.
+    Returns ``dist`` with unreachable vertices at -1.
     """
     degrees = graph.out_degrees()
     while len(active):
@@ -168,3 +176,5 @@ def _relax_to_fixpoint(
             cand = np.repeat(dist[chunk], degrees[chunk]) + weights[edge_idx]
             np.minimum.at(dist, graph.neighbors[edge_idx], cand)
         active = np.nonzero(dist < before)[0]
+    dist[dist == _UNREACHED] = -1
+    return dist

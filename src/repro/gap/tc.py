@@ -26,10 +26,10 @@ def triangle_count(
 ) -> KernelRun:
     """Exact triangle count over an undirected graph; returns count + trace.
 
-    With ``max_accesses`` set, counting stops at the trace budget and the
-    returned count covers only the processed prefix of vertices
-    (``trace.info["truncated"]`` is set). Correctness tests run without a
-    budget.
+    With ``max_accesses`` set, counting stops at the next forward
+    neighbour once the trace budget is reached, and the returned count
+    covers only the processed edges (``trace.info["truncated"]`` is set).
+    Correctness tests run without a budget.
     """
     n = graph.num_vertices
     if n == 0:
@@ -65,6 +65,8 @@ def triangle_count(
             gaps=KERNEL_GAP,
         )
         for v in fwd_u.tolist():
+            if builder.full:
+                break
             lo_v = int(offsets[v])
             hi_v = int(offsets[v + 1])
             builder.extend(

@@ -58,17 +58,28 @@ def kronecker(
     rng = np.random.default_rng(seed)
     n = 1 << scale
     m = n * edge_factor // (2 if symmetrize else 1)
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
+    # Endpoint ids accumulate bit by bit in place: scale <= 30, so uint32
+    # holds every id, and one set of buffers serves every bit.
+    src = np.zeros(m, dtype=np.uint32)
+    dst = np.zeros(m, dtype=np.uint32)
+    r = np.empty(m)
+    mask = np.empty(m, dtype=bool)
+    dst_bit = np.empty(m, dtype=bool)
+    shifted = np.empty(m, dtype=np.uint32)
     for bit in range(scale):
-        r = rng.random(m)
+        rng.random(out=r)
         # Quadrant choice: A (src 0, dst 0), B (0, 1), C (1, 0), D (1, 1).
-        src_bit = (r >= a + b).astype(np.int64)
-        dst_bit = ((r >= a) & (r < a + b)).astype(np.int64) | (
-            (r >= a + b + c).astype(np.int64)
-        )
-        src |= src_bit << bit
-        dst |= dst_bit << bit
+        # src is 1 in C and D; dst is 1 in B and D, which is
+        # (r >= a) ^ (r >= a + b) ^ (r >= a + b + c).
+        np.greater_equal(r, a + b, out=mask)
+        np.left_shift(mask, bit, out=shifted, dtype=np.uint32)
+        src |= shifted
+        np.greater_equal(r, a, out=dst_bit)
+        np.logical_xor(dst_bit, mask, out=dst_bit)
+        np.greater_equal(r, a + b + c, out=mask)
+        np.logical_xor(dst_bit, mask, out=dst_bit)
+        np.left_shift(dst_bit, bit, out=shifted, dtype=np.uint32)
+        dst |= shifted
     perm = rng.permutation(n)
     edges = np.column_stack([perm[src], perm[dst]])
     return CSRGraph.from_edges(n, edges, symmetrize=symmetrize)

@@ -46,6 +46,11 @@ def _walk_skipping_nested_defs(fn: ast.FunctionDef) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _compares(expr: ast.expr) -> bool:
+    """Whether ``expr`` holds a comparison."""
+    return any(isinstance(n, ast.Compare) for n in ast.walk(expr))
+
+
 class PolicyHooksRule(Rule):
     """Every concrete policy must implement the full hook contract.
 
@@ -248,9 +253,11 @@ class SaturatingCounterRule(Rule):
     (2-bit SHCT, 3-bit Hawkeye, bounded perceptron weights). An unguarded
     ``table[i] += 1`` silently overflows into arbitrary Python ints — the
     policy still runs, but its behaviour diverges from the hardware being
-    modelled. The rule accepts any ``+= 1`` / ``-= 1`` on subscripted
-    policy state that has a comparison somewhere in an enclosing
-    ``if``/``while`` — the idiomatic saturation guard.
+    modelled. The rule accepts a ``+= 1`` / ``-= 1`` on subscripted
+    policy state when the condition of an enclosing ``if``/``while``
+    holds a comparison — the idiomatic saturation guard — or when an
+    enclosing ``while`` body leaves the loop under a comparison, the
+    SRRIP aging idiom (``if rrpv[way] == MAX: return way``).
     """
 
     name = "saturating-counters"
@@ -294,9 +301,15 @@ class SaturatingCounterRule(Rule):
     ) -> bool:
         current: ast.AST | None = parents.get(node)
         while current is not None and current is not fn:
-            if isinstance(current, (ast.If, ast.While)):
-                if any(isinstance(n, ast.Compare) for n in ast.walk(current)):
-                    return True
+            if isinstance(current, (ast.If, ast.While)) and _compares(current.test):
+                return True
+            if isinstance(current, ast.While) and any(
+                isinstance(n, ast.If)
+                and _compares(n.test)
+                and any(isinstance(e, (ast.Return, ast.Break)) for e in ast.walk(n))
+                for n in ast.walk(current)
+            ):
+                return True
             current = parents.get(current)
         return False
 

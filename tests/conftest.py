@@ -14,9 +14,10 @@ from repro.trace.record import AccessKind
 from repro.trace.trace import Trace
 
 #: ``pytest --hypothesis-profile nightly`` (the nightly workflow) runs the
-#: properties that take their example count from the active profile —
-#: the engine geometry net in test_engine_geometry.py — at twenty times
-#: tier-1's count. Tier-1 keeps Hypothesis's default profile.
+#: properties that take their example count from the active profile — the
+#: engine geometry net in test_engine_geometry.py at twenty times tier-1's
+#: count, the sweep and GAP trace-budget properties at about a twentieth
+#: of the profile's. Tier-1 keeps Hypothesis's default profile.
 settings.register_profile("nightly", max_examples=2000, deadline=None)
 
 

@@ -5,6 +5,11 @@ graphs; trace shape (PC counts, array regions, truncation) against the
 paper's characterization claims.
 """
 
+import importlib
+import weakref
+from contextlib import contextmanager
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from repro.errors import WorkloadError
 from repro.gap import (
     GAP_KERNELS,
     GapWorkloadSpec,
+    KernelRun,
     bfs,
     betweenness_centrality,
     build_graph,
@@ -34,6 +40,7 @@ from repro.graphs import (
     star_graph,
     uniform_random,
 )
+from repro.trace.builder import TraceBuilder
 
 
 def _as_networkx(graph):
@@ -282,17 +289,50 @@ class TestTriangleCount:
         assert len(triangle_count(graph).pcs) == 3
 
 
+#: Small kron and urand graphs, the trace-budget properties' inputs.
+BUDGET_GRAPHS = dict(
+    family=st.sampled_from(["kron", "urand"]),
+    scale=st.integers(4, 9),
+    degree=st.integers(2, 8),
+    seed=st.integers(0, 2**16),
+)
+
+#: Tier-1 keeps 30 examples per budget property; the nightly profile runs 100.
+BUDGET_EXAMPLES = max(30, settings().max_examples // 20)
+
+#: The module and step of each kernel that defers exact ``values``.
+DEFERRED_STEPS = {
+    "pr": ("repro.gap.pagerank", "_pull"),
+    "cc": ("repro.gap.cc", "_sweep"),
+    "sssp": ("repro.gap.sssp", "_relax_to_fixpoint"),
+}
+
+
+@contextmanager
+def calls_into_full_builders():
+    """Record each ``extend``/``access`` call made on a full TraceBuilder."""
+    calls = []
+
+    def counted(method):
+        def wrapper(self, *args, **kwargs):
+            if self.full:
+                calls.append(method.__name__)
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    with (
+        mock.patch.object(TraceBuilder, "extend", counted(TraceBuilder.extend)),
+        mock.patch.object(TraceBuilder, "access", counted(TraceBuilder.access)),
+    ):
+        yield calls
+
+
 class TestTraceBudget:
     """A trace budget truncates the trace and changes no record before the cut."""
 
-    @given(
-        family=st.sampled_from(["kron", "urand"]),
-        scale=st.integers(4, 9),
-        degree=st.integers(2, 8),
-        seed=st.integers(0, 2**16),
-        data=st.data(),
-    )
-    @settings(max_examples=30, deadline=None)
+    @given(**BUDGET_GRAPHS, data=st.data())
+    @settings(max_examples=BUDGET_EXAMPLES, deadline=None)
     def test_budgeted_trace_is_prefix_of_full(self, family, scale, degree, seed, data):
         graph = build_graph(GapWorkloadSpec("bfs", family, scale, degree, seed=seed))
         for kernel in GAP_KERNELS:
@@ -302,6 +342,62 @@ class TestTraceBudget:
             assert np.array_equal(cut.trace.records, full.trace.records[:budget]), kernel
             if kernel in ("pr", "cc", "sssp"):  # exact whatever the budget
                 assert np.array_equal(cut.values, full.values), kernel
+
+    @given(**BUDGET_GRAPHS, data=st.data())
+    @settings(max_examples=BUDGET_EXAMPLES, deadline=None)
+    def test_kernels_stop_once_the_window_is_full(self, family, scale, degree, seed, data):
+        """At most the rest of one vertex's records reach a full builder."""
+        graph = build_graph(GapWorkloadSpec("bfs", family, scale, degree, seed=seed))
+        for kernel in GAP_KERNELS:
+            length = len(run_kernel(kernel, graph, trace_name=kernel).trace)
+            budget = data.draw(st.integers(1, length + 5), label=kernel)
+            with calls_into_full_builders() as calls:
+                run_kernel(kernel, graph, trace_name=kernel, max_accesses=budget)
+            assert len(calls) <= 2, (kernel, calls)
+
+    @pytest.mark.parametrize("kernel", sorted(DEFERRED_STEPS))
+    def test_exact_values_are_computed_on_first_read(self, graph, kernel, monkeypatch):
+        module_name, step_name = DEFERRED_STEPS[kernel]
+        module = importlib.import_module(module_name)
+        step = getattr(module, step_name)
+        calls = []
+
+        def counted(*args):
+            calls.append(step_name)
+            return step(*args)
+
+        monkeypatch.setattr(module, step_name, counted)
+        cut = run_kernel(kernel, graph, trace_name=kernel, max_accesses=50)
+        assert len(cut.trace) == 50
+        assert calls == []  # returned before the rest of the computation
+        first = cut.values
+        ran = len(calls)
+        assert ran > 0
+        assert cut.values is first and len(calls) == ran  # computed once
+        monkeypatch.setattr(module, step_name, step)
+        assert np.array_equal(first, run_kernel(kernel, graph, trace_name=kernel).values)
+
+
+class TestKernelRun:
+    def test_values_are_read_only(self, graph):
+        run = triangle_count(graph, max_accesses=100)
+        with pytest.raises(AttributeError):
+            run.values = 0
+
+    def test_finish_runs_once_and_releases_its_state(self):
+        state = np.arange(4)
+        released = weakref.ref(state)
+        calls = []
+
+        def finish(values=state):
+            calls.append(1)
+            return int(values.sum())
+
+        run = KernelRun("deferred", trace=TraceBuilder().build(), pcs={}, finish=finish)
+        del state, finish
+        assert calls == [] and released() is not None
+        assert run.values == 6 and run.values == 6
+        assert calls == [1] and released() is None
 
 
 class TestKernelTraceShape:

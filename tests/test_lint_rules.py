@@ -357,6 +357,27 @@ class TestSaturatingCounters:
         """, rule="saturating-counters")
         assert findings == []
 
+    def test_increment_beside_a_guarded_one_flagged(self, tmp_path):
+        # Hawkeye's friendly-fill aging with one more, unguarded, update:
+        # the comparison in the sibling if guards only its own body.
+        findings = lint_source(tmp_path, """
+            class Unbounded(ReplacementPolicy):
+                name = "unbounded"
+
+                def on_fill(self, set_index, way, access):
+                    rrpv = self._rrpv
+                    line = set_index * self.num_ways + way
+                    if self._friendly(access.pc):
+                        base = set_index * self.num_ways
+                        for other in range(base, base + self.num_ways):
+                            if other != line and rrpv[other] < 6:
+                                rrpv[other] += 1
+                            rrpv[other] += 1
+                        rrpv[line] = 0
+        """, rule="saturating-counters")
+        assert len(findings) == 1
+        assert findings[0].line == 13  # the second, unguarded, update
+
     def test_guard_in_enclosing_while_passes(self, tmp_path):
         # SRRIP-style aging: the loop's exit comparison is the bound.
         findings = lint_source(tmp_path, """

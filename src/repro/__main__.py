@@ -244,7 +244,7 @@ def _add_retry_flags(parser: argparse.ArgumentParser) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run a (workload x policy) matrix and print speed-ups over LRU."""
     from .errors import SweepInterrupted
-    from .harness.engine import SweepEngine
+    from .harness.engine import SweepEngine, simulator_salt
     from .resilience.durability import (
         EXIT_INTERRUPTED,
         RunJournal,
@@ -254,6 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     journal_dir = (
         Path(args.journal_dir) if args.journal_dir else _default_journal_dir()
     )
+    salt = simulator_salt()
     if not args.workloads and not args.resume:
         raise ReproError("at least one workload is required (or --resume RUN_ID)")
     if args.resume:
@@ -273,11 +274,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for key in ("workloads", "policies", "window", "sanitize",
                     "engine", "sampling"):
             setattr(args, key, parsed.context[key])
-        print(
-            f"resuming run {args.resume}: "
-            f"{len(parsed.completed_cells)} cell(s) already journalled",
-            file=sys.stderr,
-        )
+        # The salt is part of the journal spec and of every cache key:
+        # after a source edit nothing journalled can be found again.
+        journalled_salt = parsed.spec.get("salt")
+        if journalled_salt != salt:
+            print(
+                f"run {args.resume} was journalled under salt "
+                f"{journalled_salt}, but the source now hashes to salt "
+                f"{salt}: no journalled cell is reused, and the sweep runs "
+                "under a new run id",
+                file=sys.stderr,
+            )
+        else:
+            print(
+                f"resuming run {args.resume}: "
+                f"{len(parsed.completed_cells)} cell(s) already journalled",
+                file=sys.stderr,
+            )
 
     graphs: dict[int, CSRGraph] = {}
     traces = {w: _build_trace(w, args.window, graphs) for w in args.workloads}
@@ -290,6 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     engine = SweepEngine(
         cache_dir=None if args.no_cache else _default_cache_dir(),
         jobs=args.jobs,
+        salt=salt,
         journal_dir=journal_dir if use_journal else None,
         cache_max_bytes=cache_max_bytes,
     )

@@ -161,20 +161,6 @@ def emit_stream(
     builder.extend(addrs, pcs, kinds, gaps=gap)
 
 
-def emit_sequential_scan(
-    builder: TraceBuilder,
-    mem: GraphMemory,
-    prop: str,
-    num_vertices: int,
-    pc: int,
-    kind: AccessKind = AccessKind.LOAD,
-    gap: int = KERNEL_GAP,
-) -> None:
-    """A linear sweep over a whole property array (init/reduce phases)."""
-    v = np.arange(num_vertices, dtype=np.int64)
-    builder.extend(mem.prop(prop, v), pc, kind, gaps=gap)
-
-
 def make_kernel_tools(
     graph: CSRGraph,
     name: str,

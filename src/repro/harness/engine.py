@@ -10,10 +10,10 @@ parallel and perfectly cacheable. :class:`SweepEngine` exploits both:
   serial one.
 * **Caching** — a content-addressed on-disk :class:`ResultCache` keyed
   on the trace content digest, policy name, machine configuration,
-  warm-up fraction and a *simulator-version salt* (a hash of the
-  simulation core's own source). Any change to ``repro/core``,
-  ``repro/mem`` or ``repro/policies`` changes the salt and invalidates
-  every stale entry; ``repro cache prune`` garbage-collects them.
+  warm-up fraction and a *simulator-version salt* (a hash of every
+  source file of the :mod:`repro` package). Any change under
+  ``src/repro`` changes the salt and starts a fresh cache generation;
+  ``repro cache prune`` garbage-collects the stale entries.
 * **Checkpoint/resume** — each finished cell is persisted atomically the
   moment it completes, so an interrupted sweep resumes from its last
   finished cell on the next invocation (the cache *is* the checkpoint).
@@ -96,30 +96,6 @@ CACHE_ENTRY_VERSION = 2
 #: path treats it as a miss.
 QUARANTINE_DIR = "quarantine"
 
-#: Packages (and single ``.py`` modules, path-relative to the package
-#: root) whose source text defines simulation semantics: any edit to
-#: them must invalidate cached results. The list must cover the runtime
-#: import closure of the simulation entry points — the ``salt-closure``
-#: lint pass verifies that statically. Telemetry is included because its
-#: profile rides inside ``result.info`` of telemetry-armed cells;
-#: ``trace`` because record decoding and kind numbering are semantics;
-#: ``errors.py`` and ``lint/sanitize.py`` because the simulator imports
-#: them at runtime. ``sampling`` is included because a sampled cell's
-#: result depends on plan selection and warm-state synthesis, and
-#: ``analysis`` because the sampling features build on
-#: :mod:`repro.analysis.phases` window profiling.
-SALT_SOURCE_PACKAGES = (
-    "analysis",
-    "core",
-    "mem",
-    "policies",
-    "sampling",
-    "telemetry",
-    "trace",
-    "errors.py",
-    "lint/sanitize.py",
-)
-
 #: Environment variables the default engine is configured from.
 ENV_JOBS = "REPRO_JOBS"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -157,82 +133,42 @@ def _salt_root() -> Path:
 def salt_source_files(root: Path | None = None) -> list[Path]:
     """Every source file the simulator-version salt is computed over.
 
-    Resolves :data:`SALT_SOURCE_PACKAGES` against the package root:
-    plain entries are packages (all ``.py`` files underneath, sorted),
-    ``.py`` entries are single modules. Missing entries yield no files —
-    the ``engine-salt-coverage`` lint check reports them, so a rename
-    cannot silently freeze the salt *and* pass CI.
+    Every ``.py`` file under the package root, sorted, ``__pycache__``
+    skipped. The whole package is hashed rather than a hand-kept subset:
+    the code that pairs results with cells and cache keys is as much a
+    part of a cached result as the simulator itself.
     """
     if root is None:
         root = _salt_root()
-    files: list[Path] = []
-    for package in SALT_SOURCE_PACKAGES:
-        target = root / package
-        if package.endswith(".py"):
-            if target.is_file():
-                files.append(target)
-            continue
-        files.extend(
-            path
-            for path in sorted(target.rglob("*.py"))
-            if "__pycache__" not in path.parts
-        )
-    return files
-
-
-#: Memoized (source fingerprint, salt) pair — see :func:`simulator_salt`.
-_salt_cache: tuple[tuple[tuple[str, int, int], ...], str] | None = None
-
-
-def _source_fingerprint(files: list[Path]) -> tuple[tuple[str, int, int], ...]:
-    """A cheap stat-based digest of the salt sources (path, mtime, size)."""
-    return tuple(
-        (str(path), stat.st_mtime_ns, stat.st_size)
-        for path in files
-        for stat in (path.stat(),)
-    )
+    return [
+        path
+        for path in sorted(root.rglob("*.py"))
+        if "__pycache__" not in path.parts
+    ]
 
 
 def simulator_salt() -> str:
-    """A short hash of the simulation core's source (plus result schema).
+    """A short hash of the package's source (plus result schema).
 
     Computed over every file from :func:`salt_source_files` in sorted
     order, so it is stable across processes and machines but changes
-    whenever simulation semantics could have changed. Cache entries
-    embed it in their key; ``repro cache prune`` deletes entries minted
-    under any other salt.
+    with any edit under the package: an edit starts a fresh cache
+    generation. Cache entries embed it in their key; ``repro cache
+    prune`` deletes entries minted under any other salt.
 
-    The content hash is memoized behind a stat fingerprint (path, mtime,
-    size) of the source files, so repeated calls are cheap but an edit
-    to any salt source mints a fresh salt *within the same process* — a
-    long-lived harness never serves cache entries under a stale salt.
-    ``simulator_salt.cache_clear()`` drops the memo entirely (tests and
-    tools that monkeypatch the salt configuration use it).
+    The files are hashed on every call (a few milliseconds), so a
+    long-lived harness never serves cache entries under a stale salt;
+    engines and caches compute it once, at construction.
     """
-    global _salt_cache
     root = _salt_root()
-    files = salt_source_files(root)
-    fingerprint = _source_fingerprint(files)
-    if _salt_cache is not None and _salt_cache[0] == fingerprint:
-        return _salt_cache[1]
     h = hashlib.sha256()
     h.update(f"result-schema={RESULT_SCHEMA_VERSION}".encode())
-    for path in files:
+    for path in salt_source_files(root):
         h.update(str(path.relative_to(root)).encode())
         h.update(b"\x00")
         h.update(path.read_bytes())
         h.update(b"\x00")
-    salt = h.hexdigest()[:16]
-    _salt_cache = (fingerprint, salt)
-    return salt
-
-
-def _clear_salt_cache() -> None:
-    global _salt_cache
-    _salt_cache = None
-
-
-simulator_salt.cache_clear = _clear_salt_cache  # type: ignore[attr-defined]
+    return h.hexdigest()[:16]
 
 
 def cell_key(

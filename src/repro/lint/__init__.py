@@ -40,7 +40,6 @@ from .output import (
     summarize,
 )
 from .rules import Rule, available_rules, make_rule, register_rule
-from .saltclosure import SaltClosureReport, salt_closure_report
 from .sanitize import InvariantSanitizer, SanitizerError, attach_sanitizers
 from .warmstate import WarmStateReport, warm_state_report
 
@@ -52,7 +51,6 @@ __all__ = [
     "InvariantSanitizer",
     "LintContext",
     "Rule",
-    "SaltClosureReport",
     "SanitizerError",
     "Severity",
     "WarmStateReport",
@@ -68,7 +66,6 @@ __all__ = [
     "render_json",
     "render_markdown",
     "render_text",
-    "salt_closure_report",
     "summarize",
     "warm_state_report",
 ]

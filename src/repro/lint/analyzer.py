@@ -8,9 +8,7 @@ Two entry points:
   runtime registry-consistency checks that need the real
   :mod:`repro.policies.registry` (every registered name constructs, the
   instance's ``name`` matches its registry key, and the class is visible
-  to the static pass) and the sweep-engine consistency checks (the
-  simulator-version salt computes and actually covers the simulation
-  core's source).
+  to the static pass).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .rules import Rule, all_rules
 from . import contract as _contract  # noqa: F401
 from . import determinism as _determinism  # noqa: F401
 from . import fastpath_audit as _fastpath_audit  # noqa: F401
-from . import saltclosure as _saltclosure  # noqa: F401
 from . import snapshot as _snapshot  # noqa: F401
 from . import warmstate as _warmstate  # noqa: F401
 
@@ -168,61 +165,13 @@ def _registry_findings(ctx: LintContext) -> list[Finding]:
     return findings
 
 
-def _engine_findings() -> list[Finding]:
-    """Sanity-check the sweep engine's cache-invalidation contract.
-
-    The engine's on-disk cache is only sound if its simulator-version
-    salt really covers the simulation core: every entry named in
-    ``SALT_SOURCE_PACKAGES`` must exist in the live tree — a package
-    directory for plain entries, a file for single-module ``.py``
-    entries (a rename that silently drops one would freeze the salt
-    while semantics change) — and the salt itself must compute.
-    """
-    from ..harness import engine as engine_module
-
-    engine_path = str(package_root() / "harness" / "engine.py")
-    findings: list[Finding] = []
-    for package in engine_module.SALT_SOURCE_PACKAGES:
-        target = package_root() / package
-        exists = target.is_file() if package.endswith(".py") else target.is_dir()
-        if not exists:
-            findings.append(
-                Finding(
-                    rule="engine-salt-coverage",
-                    severity=Severity.ERROR,
-                    path=engine_path,
-                    line=1,
-                    message=(
-                        f"salt source entry {package!r} does not exist; "
-                        "cached results would survive core changes"
-                    ),
-                    hint="keep SALT_SOURCE_PACKAGES in sync with the package layout",
-                )
-            )
-    try:
-        engine_module.simulator_salt()
-    except Exception as exc:
-        findings.append(
-            Finding(
-                rule="engine-salt-coverage",
-                severity=Severity.ERROR,
-                path=engine_path,
-                line=1,
-                message=f"simulator_salt() fails to compute: {exc}",
-                hint="the sweep cache cannot version itself without a salt",
-            )
-        )
-    return findings
-
-
 def lint_tree(
     root: str | Path | None = None, rules: list[Rule] | None = None
 ) -> list[Finding]:
-    """Lint the live package tree plus the runtime registry/engine checks."""
+    """Lint the live package tree plus the runtime registry checks."""
     if root is None:
         root = package_root()
     ctx, findings = build_context([root])
     findings += run_rules(ctx, rules)
     findings += _registry_findings(ctx)
-    findings += _engine_findings()
     return sorted(set(findings), key=lambda f: (f.path, f.line, f.rule))

@@ -18,9 +18,9 @@ always an error, and exclusions that are stale (the class now
 implements the protocol) or unknown (no such registered class) are
 warnings so the list cannot rot.
 
-Like the salt-closure pass, everything is read from the parsed tree —
-the registry is never imported — so the rule works identically on the
-live package and on fixture trees.
+Everything is read from the parsed tree — the registry is never
+imported — so the rule works identically on the live package and on
+fixture trees.
 """
 
 from __future__ import annotations

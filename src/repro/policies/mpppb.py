@@ -47,10 +47,6 @@ NUM_FEATURES = 7
 PC_HISTORY_LENGTH = 4
 
 
-def _mask(value: int) -> int:
-    return value & (TABLE_SIZE - 1)
-
-
 class MPPPBPolicy(ReplacementPolicy):
     """Multiperspective perceptron reuse predictor with bypass."""
 

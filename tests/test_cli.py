@@ -372,6 +372,33 @@ class TestDurableSweep:
         assert f"resuming run {run_id}" in err
         assert "2 cell(s) already journalled" in err
 
+    def test_resume_after_source_edit_says_nothing_is_reused(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.harness import engine
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path / "journal"))
+        assert main(["sweep", "gap.cc.10", "--policies", "srrip",
+                     "--window", "5000", "--jobs", "1"]) == 0
+        err = capsys.readouterr().err
+        run_id = err.split("run ")[-1].split(" journalled")[0]
+        old_salt = engine.simulator_salt()
+
+        # A source edit moves the salt: the journal spec and every cache
+        # key change with it, so the resume re-simulates every cell.
+        monkeypatch.setattr(engine, "simulator_salt", lambda: "0" * 16)
+        assert main(["sweep", "--resume", run_id]) == 0
+        err = capsys.readouterr().err
+        assert "resuming run" not in err
+        (line,) = [text for text in err.splitlines()
+                   if "no journalled cell" in text]
+        assert run_id in line and old_salt in line and "0" * 16 in line
+        assert "new run id" in line
+        assert "0 from cache, 2 simulated" in err
+        new_run_id = err.split("run ")[-1].split(" journalled")[0]
+        assert new_run_id != run_id
+
     def test_sweep_without_workloads_or_resume_fails(self, capsys):
         rc = main(["sweep"])
         assert rc == 1

@@ -363,10 +363,9 @@ class TestRunMatrixIntegration:
 class TestSaltFreshness:
     """simulator_salt() must track source edits within one process.
 
-    The old ``lru_cache(maxsize=1)`` froze the salt for the process
-    lifetime, so a long-lived harness editing policies between sweeps
-    would keep writing cache entries under the stale salt. The salt is
-    now memoized on a (path, mtime_ns, size) fingerprint.
+    A long-lived harness editing policies between sweeps must never
+    write cache entries under a stale salt, so every ``.py`` file of
+    the package is hashed on each call.
     """
 
     @pytest.fixture
@@ -376,23 +375,17 @@ class TestSaltFreshness:
         root = tmp_path / "repro"
         (root / "core").mkdir(parents=True)
         (root / "core" / "simulator.py").write_text("X = 1\n")
+        (root / "harness").mkdir()
+        (root / "harness" / "engine.py").write_text("Y = 1\n")
         (root / "errors.py").write_text("class E(Exception): pass\n")
+        (root / "core" / "__pycache__").mkdir()
+        (root / "core" / "__pycache__" / "stale.py").write_text("Z = 0\n")
+        (root / "README.md").write_text("not source\n")
         monkeypatch.setattr(engine, "_salt_root", lambda: root)
-        monkeypatch.setattr(
-            engine, "SALT_SOURCE_PACKAGES", ("core", "errors.py")
-        )
-        engine.simulator_salt.cache_clear()
-        yield root
-        engine.simulator_salt.cache_clear()
-
-    @staticmethod
-    def _bump_mtime(path):
-        import os
-
-        stat = path.stat()
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        return root
 
     def test_salt_is_memoized_while_sources_unchanged(self, salt_tree):
+        # Repeated calls agree: the salt is a pure function of the tree.
         from repro.harness import engine
 
         first = engine.simulator_salt()
@@ -403,9 +396,7 @@ class TestSaltFreshness:
         from repro.harness import engine
 
         first = engine.simulator_salt()
-        target = salt_tree / "core" / "simulator.py"
-        target.write_text("X = 2\n")
-        self._bump_mtime(target)
+        (salt_tree / "core" / "simulator.py").write_text("X = 2\n")
         second = engine.simulator_salt()
         assert second != first
         # And it settles: the new salt is itself stable.
@@ -422,19 +413,37 @@ class TestSaltFreshness:
         from repro.harness import engine
 
         first = engine.simulator_salt()
-        target = salt_tree / "errors.py"
-        target.write_text("class E(RuntimeError): pass\n")
-        self._bump_mtime(target)
+        (salt_tree / "errors.py").write_text("class E(RuntimeError): pass\n")
         assert engine.simulator_salt() != first
 
-    def test_cache_clear_hook_exists_for_compat(self):
-        # Callers that used the lru_cache attribute must keep working.
-        simulator_salt.cache_clear()
-        assert simulator_salt() == simulator_salt()
+    def test_engine_module_edit_changes_salt(self, salt_tree):
+        # The code pairing results with cells and keys is salted too.
+        from repro.harness import engine
+
+        first = engine.simulator_salt()
+        (salt_tree / "harness" / "engine.py").write_text("Y = 2\n")
+        assert engine.simulator_salt() != first
 
     def test_salt_source_files_lists_py_entries_once(self, salt_tree):
         from repro.harness import engine
 
         files = engine.salt_source_files(salt_tree)
-        names = sorted(p.relative_to(salt_tree).as_posix() for p in files)
-        assert names == ["core/simulator.py", "errors.py"]
+        names = [p.relative_to(salt_tree).as_posix() for p in files]
+        assert names == [
+            "core/simulator.py", "errors.py", "harness/engine.py",
+        ]
+
+    def test_live_tree_salts_every_package_module(self):
+        from pathlib import Path
+
+        import repro
+        from repro.harness import engine
+
+        root = Path(repro.__file__).resolve().parent
+        expected = sorted(
+            p for p in root.rglob("*.py") if "__pycache__" not in p.parts
+        )
+        files = engine.salt_source_files()
+        assert files == expected
+        names = {p.relative_to(root).as_posix() for p in files}
+        assert {"harness/engine.py", "resilience/executor.py"} <= names

@@ -48,18 +48,6 @@ class TestEngineCoverage:
             "the live-tree pass must cover the sweep engine"
         )
 
-    def test_missing_salt_package_reported(self, monkeypatch):
-        from repro.harness import engine
-
-        monkeypatch.setattr(
-            engine, "SALT_SOURCE_PACKAGES", (*engine.SALT_SOURCE_PACKAGES, "vanished")
-        )
-        findings = [f for f in lint_tree() if f.rule == "engine-salt-coverage"]
-        assert len(findings) == 1
-        assert "vanished" in findings[0].message
-        assert findings[0].severity == Severity.ERROR
-        assert findings[0].path.endswith("harness/engine.py")
-
 
 class TestRegistryConsistency:
     def test_crashing_factory_reported(self, monkeypatch):

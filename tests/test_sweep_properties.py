@@ -15,12 +15,21 @@ canonical JSON:
 with every cell counted once (``hits + simulated`` is the cell count)
 and only the cells of the ineligible trace falling back.
 
-Tier-1 runs 25 examples (a few seconds; every ``jobs=2`` example starts
-a pool); ``pytest --hypothesis-profile nightly`` runs 100.
+A second property cuts a journalled sweep's journal after a drawn
+number of cell records, deletes the cache entries of the later cells
+except a drawn subset of survivors (a crash between the cache store and
+the journal record), and reruns it: the resumed sweep must return the
+reference results, resume exactly the journalled cells, load the
+survivors as plain hits and leave a complete journal.
+
+Tier-1 runs 25 examples of each (a few seconds; every ``jobs=2``
+example starts a pool); ``pytest --hypothesis-profile nightly`` runs
+100.
 """
 
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +40,7 @@ from repro.core.config import small_test_machine
 from repro.core.simulator import DEFAULT_WARMUP_FRACTION
 from repro.harness.engine import SweepEngine, cell_key
 from repro.policies.registry import BASELINE_POLICY, PAPER_POLICIES
+from repro.resilience.durability import RunJournal
 from repro.trace import synthetic
 from repro.trace.record import AccessKind
 
@@ -78,7 +88,7 @@ def corpus():
 
 
 @st.composite
-def sweeps(draw):
+def matrices(draw):
     workloads = draw(st.lists(
         st.sampled_from(("zipf", "loop", "stream", INELIGIBLE)),
         min_size=1, max_size=3, unique=True,
@@ -87,6 +97,12 @@ def sweeps(draw):
         st.sampled_from(POLICIES), min_size=1, max_size=len(POLICIES),
         unique=True,
     ))
+    return workloads, policies
+
+
+@st.composite
+def sweeps(draw):
+    workloads, policies = draw(matrices())
     cells = [(w, p) for w in workloads for p in policies]
     cached = draw(st.sets(st.sampled_from(cells), max_size=len(cells)))
     jobs = draw(st.sampled_from((1, 2)))
@@ -119,3 +135,57 @@ def test_default_sweep_equals_reference_and_serial(corpus, sweep):
     assert outcome.stats.fallbacks == sum(
         1 for cell in cells if cell[0] == INELIGIBLE and cell not in cached
     )
+
+
+@st.composite
+def resumes(draw):
+    """A matrix, a journal cut and the later records whose cells survive.
+
+    ``cut`` is how many cell records the journal keeps; ``survivors``
+    are positions of later records whose cache entries stay, as after a
+    crash between the cache store and the journal record.
+    """
+    workloads, policies = draw(matrices())
+    cells = len(workloads) * len(policies)
+    cut = draw(st.integers(0, cells))
+    survivors = draw(
+        st.sets(st.integers(cut, cells - 1)) if cut < cells
+        else st.just(set())
+    )
+    return workloads, policies, cut, survivors
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(resume=resumes())
+def test_resumed_sweep_equals_uninterrupted(corpus, resume):
+    traces, machine, reference = corpus
+    workloads, policies, cut, survivors = resume
+    drawn = {w: traces[w] for w in workloads}
+    cells = [(w, p) for w in workloads for p in policies]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        engine = SweepEngine(cache_dir=root / "cache", jobs=1,
+                             journal_dir=root / "journal")
+        first = engine.run(drawn, policies, config=machine)
+        lines = first.journal_path.read_text(encoding="utf-8").splitlines()
+        header, records = lines[0], [json.loads(line) for line in lines[1:-1]]
+        assert len(records) == len(cells)
+        first.journal_path.write_text(
+            "\n".join([header, *lines[1:cut + 1]]) + "\n", encoding="utf-8"
+        )
+        for position, record in enumerate(records[cut:], start=cut):
+            if position not in survivors:
+                engine.cache.path_for(record["key"]).unlink()
+
+        resumed = engine.run(drawn, policies, config=machine)
+        journal = RunJournal.load(resumed.journal_path)
+
+    expected = canonical({cell: reference[cell] for cell in cells})
+    assert canonical(matrix_cells(resumed)) == expected
+    assert resumed.run_id == first.run_id
+    assert resumed.stats.resumed == cut
+    assert resumed.stats.hits == cut + len(survivors)
+    assert resumed.stats.simulated == len(cells) - cut - len(survivors)
+    assert journal.complete
+    assert journal.completed_cells == set(cells)
